@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import sys
@@ -39,6 +40,9 @@ from .graphs import Forest, Graph, ParseError, Tree, make_path, parse_edge_list
 from .solver import SizeLimitError, forced_zero_set, optimal_assignment, prd_number
 from .stability import stability_report
 from .sweeps import (
+    ATTACHMENT_MAX_N,
+    CHARACTERIZATION_MAX_N,
+    OPTIMA_SWEEP_MAX_N,
     attachment_delta_sweep,
     characterization_sweep,
     optima_structure_sweep,
@@ -56,10 +60,19 @@ class _UsageError(ValueError):
 
 
 def _read_text(args: argparse.Namespace) -> str:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return fh.read()
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            # UTF-8 mode and the C locale read stdin with surrogateescape,
+            # which would pass undecodable bytes on to the parsers as text
+            sys.stdin.reconfigure(errors="strict")
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not valid UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def _parse_input(args: argparse.Namespace) -> Graph:
@@ -244,7 +257,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _cmd_verify_certificate(args)
     started = time.perf_counter()
     suites = ("theorem", "lemmas", "observation") if args.suite == "all" else (args.suite,)
-    caps = {"theorem": 15, "lemmas": 15, "observation": 12}
+    caps = {
+        "theorem": CHARACTERIZATION_MAX_N,
+        "lemmas": ATTACHMENT_MAX_N,
+        "observation": OPTIMA_SWEEP_MAX_N,
+    }
     results: dict = {}
     for suite in suites:
         # an explicitly requested suite keeps its hard cap (size-limit error);

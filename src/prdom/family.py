@@ -128,6 +128,8 @@ def recognize(t: Tree) -> RecognitionResult:
     has one), accept the 3-vertex base, and otherwise require diameter at
     least 4, degree 2 on the second and third vertices of the deterministic
     longest path, and a forced-zero anchor after removing that 3-chain.
+    Each of the n/3 peels costs one longest-path search and one O(n)
+    forced-zero pass, so recognition is O(n^2).
     """
     if t.n % 3 != 0:
         return RecognitionResult(False, None, "order not a multiple of 3")

@@ -46,7 +46,12 @@ def emit_graph6(g: Graph) -> bytes:
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 token. Strict: exact length, zero padding bits."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError(
+                f"non-ASCII character {data[exc.start]!r} at offset {exc.start}"
+            ) from None
     data = data.strip()
     if not data:
         raise ParseError("empty graph6 input")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,6 +214,99 @@ def _tables(adj: _Adjacency, root: int) -> StateTable:
     )
 
 
+class _RootCosts(NamedTuple):
+    """Whole-tree costs with each vertex in turn as the root.
+
+    ``a``, ``c``, ``d`` hold the root states A, C, D of every vertex, so the
+    domination number is min(a[v], c[v], d[v]) at any v. ``deleted[v]`` is
+    the domination number of T - v.
+    """
+
+    a: list[int]
+    c: list[int]
+    d: list[int]
+    deleted: list[int]
+
+    @property
+    def number(self) -> int:
+        return min(self.a[0], self.c[0], self.d[0])
+
+
+def _all_roots(adj: _Adjacency) -> _RootCosts:
+    """Root the DP at every vertex of a tree at once (rerooting). O(n).
+
+    The down tables of ``_tables(adj, 0)`` give each vertex's side below
+    its parent. One top-down pass adds the side above: for a vertex u with
+    parent p, the four states of p with u's subtree cut away. The sums over
+    a vertex's neighbours drop one neighbour by subtraction; the A state's
+    cheapest swap to D drops one by keeping the best two swaps and which
+    neighbour holds the best. With every neighbour side known, C at v is 1
+    plus the sum of each side's best root state, and that sum alone is the
+    number of T - v, whose components are exactly those sides.
+    """
+    n = len(adj)
+    table = _tables(adj, 0)
+    parent = table.parent
+    # What each side contributes to the vertex it hangs from, as in _tables:
+    # min(A, C), min(A, C, D), min(B, C, D) and the swap D - min(A, C).
+    # Index u is u's subtree for down_*, and p's side away from u for up_*.
+    down_ac = [0] * n
+    down_acd = [0] * n
+    down_bcd = [0] * n
+    down_swap = [0] * n
+    for u, (au, bu, cu, du) in enumerate(zip(table.a, table.b, table.c, table.d)):
+        mac = au if au < cu else cu
+        down_ac[u] = mac
+        down_acd[u] = mac if mac < du else du
+        down_bcd[u] = min(bu, cu, du)
+        down_swap[u] = du - mac
+    up_ac = [0] * n
+    up_acd = [0] * n
+    up_bcd = [0] * n
+    up_swap = [0] * n
+    full_a = [0] * n
+    full_c = [0] * n
+    full_d = [0] * n
+    deleted = [0] * n
+    for p in table.order:
+        q = parent[p]
+        if q >= 0:
+            s_ac, s_acd, s_bcd = up_ac[p], up_acd[p], up_bcd[p]
+            best, holder = up_swap[p], q
+        else:
+            s_ac = s_acd = s_bcd = 0
+            best, holder = INFEASIBLE, -1
+        second = INFEASIBLE
+        for u in adj[p]:
+            if u == q:
+                continue
+            s_ac += down_ac[u]
+            s_acd += down_acd[u]
+            s_bcd += down_bcd[u]
+            swap = down_swap[u]
+            if swap < best:
+                best, second, holder = swap, best, u
+            elif swap < second:
+                second = swap
+        full_a[p] = s_ac + best
+        full_c[p] = 1 + s_acd
+        full_d[p] = 2 + s_bcd
+        deleted[p] = s_acd
+        for u in adj[p]:
+            if u == q:
+                continue
+            ub = s_ac - down_ac[u]
+            ua = ub + (second if u == holder else best)
+            uc = 1 + s_acd - down_acd[u]
+            ud = 2 + s_bcd - down_bcd[u]
+            mac = ua if ua < uc else uc
+            up_ac[u] = mac
+            up_acd[u] = mac if mac < ud else ud
+            up_bcd[u] = min(ub, uc, ud)
+            up_swap[u] = ud - mac
+    return _RootCosts(a=full_a, c=full_c, d=full_d, deleted=deleted)
+
+
 def prd_number(x: Tree | Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
     return _gamma(_adjacency_of(x))
@@ -338,18 +432,14 @@ def forced_zero_set(t: Tree) -> frozenset[int]:
     """Vertices labeled 0 by every minimum-weight PRDF.
 
     A vertex qualifies exactly when forcing any positive label on it costs
-    strictly more than the unconstrained optimum. One rerooted DP per
-    vertex, O(n^2) total.
+    strictly more than the unconstrained optimum: min(C, D) > gamma with
+    the tree rooted there. One rerooting pass gives every root, O(n) total.
     """
-    adj = t.adjacency
-    base = _gamma(adj)
-    forced = []
-    for v in range(t.n):
-        table = _tables(adj, v)
-        positive = table.c[v] if table.c[v] < table.d[v] else table.d[v]
-        if positive > base:
-            forced.append(v)
-    return frozenset(forced)
+    costs = _all_roots(t.adjacency)
+    base = costs.number
+    return frozenset(
+        v for v, (cv, dv) in enumerate(zip(costs.c, costs.d)) if cv > base and dv > base
+    )
 
 
 # ---------------------------------------------------------------------------

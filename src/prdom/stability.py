@@ -1,11 +1,12 @@
 """Vertex-deletion stability and pendant attachments.
 
 A tree is stable when deleting any single vertex leaves the perfect Roman
-domination number unchanged. ``stability_report`` measures that directly,
-one forest solve per vertex. ``attach_pendant_path`` hangs a short pendant
-path off a chosen vertex; the weight deltas those attachments produce are
-the subject of the attachment-delta sweep. ``optima_report`` enumerates all
-minimum-weight labelings of a small tree and examines their structure.
+domination number unchanged. ``stability_report`` measures that for every
+vertex at once, from one rerooting pass of the tree DP.
+``attach_pendant_path`` hangs a short pendant path off a chosen vertex; the
+weight deltas those attachments produce are the subject of the
+attachment-delta sweep. ``optima_report`` enumerates all minimum-weight
+labelings of a small tree and examines their structure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Graph, Tree, remove_vertex
-from .solver import SizeLimitError, brute_force, prd_number
+from .graphs import Graph, Tree
+from .solver import SizeLimitError, _all_roots, brute_force
 
 OPTIMA_SCAN_MAX_N = 14
 
@@ -32,10 +33,10 @@ class StabilityReport:
 
 
 def stability_report(t: Tree) -> StabilityReport:
-    """Solve T and every T - v. O(n) solves, O(n^2) total."""
-    base = prd_number(t)
-    deltas = tuple(prd_number(remove_vertex(t, v)) - base for v in range(t.n))
-    return StabilityReport(base=base, deltas=deltas)
+    """Numbers of T and of every T - v, from one rerooting pass. O(n)."""
+    costs = _all_roots(t.adjacency)
+    base = costs.number
+    return StabilityReport(base=base, deltas=tuple(x - base for x in costs.deleted))
 
 
 def attach_pendant_path(t: Tree, u: int, length: int) -> Tree:

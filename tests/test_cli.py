@@ -315,6 +315,43 @@ def test_missing_input_file(monkeypatch, capsys):
     assert code == 2
 
 
+NOT_UTF8_EDGELIST = b"3\n0 1\n1 \xff2\n"
+
+
+def test_undecodable_input_file_exit_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8_EDGELIST)
+    code, out, err = run_cli(["solve", "--input", str(path)], "", monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
+
+
+def test_undecodable_stdin_exit_code(monkeypatch, capsys):
+    # a byte stream read the way UTF-8 mode reads stdin, with surrogateescape
+    stdin = io.TextIOWrapper(
+        io.BytesIO(NOT_UTF8_EDGELIST), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = cli.main(["stable"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
+
+
+def test_undecodable_stdin_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "prdom.cli", "solve", "--format", "graph6"],
+        input=b"B\xffg\n",
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
+    )
+
+
 def test_output_file(tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

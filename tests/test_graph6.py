@@ -78,6 +78,14 @@ def test_parse_errors(data):
         parse_graph6(data)
 
 
+def test_non_ascii_text_rejected_with_offset():
+    # 'é' used to be replaced by '?', a valid byte, giving an edgeless graph
+    with pytest.raises(ParseError, match="offset 1"):
+        parse_graph6("Bé")
+    with pytest.raises(ParseError, match="non-ASCII"):
+        parse_graph6("Bg\u00a0")
+
+
 def test_nonzero_padding_rejected():
     # n=2 uses one edge bit and five padding bits per byte
     assert parse_graph6(b"A?").m == 0          # 000000: no edge

@@ -22,7 +22,7 @@ from prdom import (
     prd_number_forced,
     remove_vertex,
 )
-from prdom.solver import _brute_ternary, _brute_two_sets, _tables
+from prdom.solver import _all_roots, _brute_ternary, _brute_two_sets, _tables
 
 
 def test_known_numbers():
@@ -188,6 +188,35 @@ def test_forced_zero_set_matches_full_enumeration():
                 v for v in range(t.n) if all(o.values[v] == 0 for o in optima)
             )
             assert forced_zero_set(t) == always_zero
+
+
+def _forced_zero_by_rerooting_each_vertex(t):
+    base = prd_number(t)
+    return frozenset(v for v in range(t.n) if prd_number_forced(t, v, {1, 2}) > base)
+
+
+def test_forced_zero_set_matches_per_vertex_route_on_all_small_trees():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert forced_zero_set(t) == _forced_zero_by_rerooting_each_vertex(t)
+
+
+@given(labeled_trees(max_n=60))
+@settings(max_examples=200, deadline=None)
+def test_forced_zero_set_matches_per_vertex_route_random(t):
+    assert forced_zero_set(t) == _forced_zero_by_rerooting_each_vertex(t)
+
+
+@given(labeled_trees(max_n=60))
+@settings(max_examples=100, deadline=None)
+def test_all_roots_matches_a_table_per_root(t):
+    costs = _all_roots(t.adjacency)
+    assert costs.number == prd_number(t)
+    for v in range(t.n):
+        table = _tables(t.adjacency, v)
+        assert (costs.a[v], costs.c[v], costs.d[v]) == (table.a[v], table.c[v], table.d[v])
+        # C at the root is 1 plus the best of each component of T - v
+        assert costs.c[v] == 1 + costs.deleted[v]
 
 
 def test_state_table_leaf_base_case():

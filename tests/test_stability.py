@@ -66,6 +66,27 @@ def test_stability_agrees_with_pure_brute_force():
             assert stability_report(t).stable == brute_stable
 
 
+def _literal_deltas(t):
+    base = prd_number(t)
+    return base, tuple(prd_number(remove_vertex(t, v)) - base for v in range(t.n))
+
+
+def test_stability_report_matches_literal_deletion_on_all_small_trees():
+    # the rerooting pass against deleting each vertex and re-solving;
+    # orders 1 and 2 are K1 and P2
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            r = stability_report(t)
+            assert (r.base, r.deltas) == _literal_deltas(t)
+
+
+@given(labeled_trees(max_n=60))
+@settings(max_examples=200, deadline=None)
+def test_stability_report_matches_literal_deletion_random(t):
+    r = stability_report(t)
+    assert (r.base, r.deltas) == _literal_deltas(t)
+
+
 def test_attach_pendant_path_labels():
     t = attach_pendant_path(make_path(3), 0, 3)
     # new chain hangs off 0: 0-3, 3-4, 4-5; far endpoint gets the top label
