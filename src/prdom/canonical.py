@@ -12,26 +12,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import Tree
+from .graphs import Tree, rooted_order
 
 CanonicalForm = bytes
 
 
 def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component of T - v."""
-    adj = t.adjacency
     n = t.n
-    if n == 1:
-        return (0,)
-    parent = [-1] * n
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    parent[0] = -1
+    order, parent = rooted_order(t.adjacency)
     size = [1] * n
     widest = [0] * n  # largest child-subtree size
     for v in reversed(order):

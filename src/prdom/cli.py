@@ -29,7 +29,6 @@ from .canonical import canonical_form
 from .family import (
     InvalidStepError,
     enumerate_family,
-    grow,
     parse_certificate,
     recognize,
     replay_certificate,
@@ -38,7 +37,7 @@ from .family import (
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Forest, Graph, ParseError, Tree, make_path, parse_edge_list
 from .solver import SizeLimitError, forced_zero_set, optimal_assignment, prd_number
-from .stability import stability_report
+from .stability import attach_pendant_path, stability_report
 from .sweeps import (
     ATTACHMENT_MAX_N,
     CHARACTERIZATION_MAX_N,
@@ -141,17 +140,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     forest = _as_forest(_parse_input(args))
     result: dict = {"number": prd_number(forest)}
     if args.witness:
-        values = [0] * forest.n
-        for tree, labels in forest.component_trees():
-            part = optimal_assignment(tree)
-            for local, value in enumerate(part.values):
-                values[labels[local]] = value
-        result["witness"] = values
+        result["witness"] = list(optimal_assignment(forest).values)
     if args.wset:
-        forced: list[int] = []
-        for tree, labels in forest.component_trees():
-            forced.extend(labels[v] for v in forced_zero_set(tree))
-        result["forced_zero"] = sorted(forced)
+        result["forced_zero"] = sorted(forced_zero_set(forest))
     _report(
         args,
         "solve",
@@ -224,7 +215,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             forced = sorted(forced_zero_set(tree))
             if not forced:
                 raise AssertionError("construction reached a tree with no forced-zero vertex")
-            tree = grow(tree, rng.choice(forced))
+            # the anchor comes from the forced-zero set just computed, so
+            # family.grow would only recompute that set to re-check it
+            tree = attach_pendant_path(tree, rng.choice(forced), 3)
         lines.append(emit_graph6(tree.graph).decode("ascii"))
     _write_output(args, "".join(line + "\n" for line in lines))
     return EXIT_OK

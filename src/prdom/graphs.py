@@ -8,6 +8,7 @@ in this module mutates a graph after construction.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 
@@ -89,7 +90,8 @@ class Tree:
             raise ValueError("a tree needs at least one vertex")
         if graph.m != n - 1:
             raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {graph.m}")
-        if _component_reach(graph.adjacency, 0) != n:
+        _, parent = rooted_order(graph.adjacency)
+        if parent.count(-1) != 1:
             raise ValueError("graph is not connected")
         self.graph = graph
 
@@ -133,30 +135,27 @@ class Forest:
     __slots__ = ("graph", "component", "ncomponents")
 
     def __init__(self, graph: Graph):
-        comp = [-1] * graph.n
         adj = graph.adjacency
-        cid = 0
-        for s in range(graph.n):
-            if comp[s] >= 0:
-                continue
-            size = 0
-            edges2 = 0
-            stack = [s]
-            comp[s] = cid
-            while stack:
-                v = stack.pop()
-                size += 1
-                edges2 += len(adj[v])
-                for u in adj[v]:
-                    if comp[u] < 0:
-                        comp[u] = cid
-                        stack.append(u)
-            if edges2 != 2 * (size - 1):
+        order, parent = rooted_order(adj)
+        comp = [0] * graph.n
+        roots: list[int] = []
+        # degree sum minus 2(size - 1) per component: 0 exactly when acyclic
+        surplus: list[int] = []
+        for v in order:
+            p = parent[v]
+            if p < 0:
+                comp[v] = len(roots)
+                roots.append(v)
+                surplus.append(len(adj[v]))
+            else:
+                c = comp[v] = comp[p]
+                surplus[c] += len(adj[v]) - 2
+        for s, extra in zip(roots, surplus):
+            if extra:
                 raise ValueError(f"component containing vertex {s} has a cycle")
-            cid += 1
         self.graph = graph
         self.component = tuple(comp)
-        self.ncomponents = cid
+        self.ncomponents = len(roots)
 
     @property
     def n(self) -> int:
@@ -189,19 +188,33 @@ class Forest:
         return f"Forest(n={self.n}, components={self.ncomponents})"
 
 
-def _component_reach(adj: Sequence[Sequence[int]], start: int) -> int:
-    seen = bytearray(len(adj))
-    seen[start] = 1
-    stack = [start]
-    count = 0
-    while stack:
-        v = stack.pop()
-        count += 1
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                stack.append(u)
-    return count
+def rooted_order(
+    adj: Sequence[Sequence[int]], root: int = 0
+) -> tuple[list[int], list[int]]:
+    """BFS order and parent array over every component of a graph.
+
+    ``root``'s component comes first, rooted at ``root``; every other
+    component follows in order of its smallest vertex, rooted there. Each
+    parent precedes its children in the order, and ``parent`` is -1 exactly
+    at the component roots.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    seen = bytearray(n)
+    order: list[int] = []
+    for s in itertools.chain((root,) if n else (), range(n)):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        component = [s]
+        for v in component:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    parent[u] = v
+                    component.append(u)
+        order += component
+    return order, parent
 
 
 def parse_edge_list(data: bytes | str) -> Graph:
@@ -210,8 +223,15 @@ def parse_edge_list(data: bytes | str) -> Graph:
     First line is the vertex count n, every following non-empty line is one
     edge "u v" with 0-based labels. Errors report the offending line number.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.split("\n")
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"input is not valid UTF-8: cannot decode byte 0x{data[exc.start]:02x}"
+                f" at offset {exc.start}"
+            ) from None
+    lines = data.split("\n")
     if not lines or not lines[0].strip():
         raise ParseError("missing vertex count", line=1)
     try:
@@ -301,19 +321,11 @@ def leaves_of(t: Tree, v: int) -> frozenset[int]:
 
 
 def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
+    """Distances from ``start`` to every vertex of a tree."""
+    order, parent = rooted_order(adj, start)
+    dist = [0] * len(adj)
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     return dist
 
 
@@ -347,15 +359,7 @@ def longest_path(t: Tree) -> list[int]:
     )
     # Root at start; a path from the root is a descent, so greedily take the
     # smallest child whose downward height still reaches the full length.
-    parent = [-1] * n
-    order = [start]
-    parent[start] = start
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    parent[start] = -1
+    order, parent = rooted_order(adj, start)
     height = [0] * n
     for v in reversed(order):
         p = parent[v]

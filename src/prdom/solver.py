@@ -21,9 +21,12 @@ Admissible child states given the vertex state:
 
 State costs are 0, 0, 1, 2 plus the children minima; state A is the usual
 "sum of min(A, C) plus the cheapest swap of one child to D". At a root only
-A, C, D are valid. The exponential routes (a literal scan of all 3^n
-labelings, and a scan over all 2^n placements of the 2s with the forced
-minimal completion) exist as independent ground truth for small graphs.
+A, C, D are valid. One table covers a whole forest: a single walk roots
+every component (at its smallest vertex by default), and the number is
+the sum, over the component roots, of the best root state. The
+exponential routes (a literal scan of all 3^n labelings, and a scan over
+all 2^n placements of the 2s with the forced minimal completion) exist as
+independent ground truth for small graphs.
 
 The set returned by ``forced_zero_set`` contains the vertices labeled 0 by
 every minimum-weight PRDF; "any" in the usual phrasing of that set is read
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Forest, Graph, Tree
+from .graphs import Forest, Graph, Tree, rooted_order
 
 INFEASIBLE = 1 << 60
 BRUTE_FORCE_MAX_N = 16
@@ -84,142 +87,69 @@ def _adjacency_of(x: Graph | Tree | Forest) -> _Adjacency:
     return x.adjacency
 
 
-def _bfs_forest(adj: _Adjacency) -> tuple[list[int], list[int]]:
-    """BFS order and parent array over every component (parent -1 at roots)."""
-    n = len(adj)
-    parent = [-1] * n
-    order = [0] * n
-    seen = bytearray(n)
-    k = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        order[k] = s
-        k += 1
-        head = k - 1
-        while head < k:
-            v = order[head]
-            head += 1
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    parent[u] = v
-                    order[k] = u
-                    k += 1
-    return order, parent
-
-
-def _gamma(adj: _Adjacency) -> int:
-    """Domination number of a forest given as adjacency lists. O(n)."""
-    n = len(adj)
-    if n == 0:
-        return 0
-    order, parent = _bfs_forest(adj)
-    sum_ac = [0] * n
-    swap = [INFEASIBLE] * n
-    sum_bcd = [0] * n
-    sum_acd = [0] * n
-    total = 0
-    for v in reversed(order):
-        b = sum_ac[v]
-        a = b + swap[v]
-        c = 1 + sum_acd[v]
-        d = 2 + sum_bcd[v]
-        p = parent[v]
-        if p < 0:
-            m = c if c < d else d
-            if a < m:
-                m = a
-            total += m
-        else:
-            mac = a if a < c else c
-            sum_ac[p] += mac
-            delta = d - mac
-            if delta < swap[p]:
-                swap[p] = delta
-            mbcd = b if b < c else c
-            if d < mbcd:
-                mbcd = d
-            sum_bcd[p] += mbcd
-            sum_acd[p] += mac if mac < d else d
-    return total
-
-
 @dataclass(frozen=True)
 class StateTable:
-    """Per-vertex costs of the four root-directed states, for one component.
+    """Per-vertex costs of the four root-directed states, over a forest.
 
-    ``order`` is a BFS order from ``root``; ``parent[root]`` is -1. Costs at
-    or above INFEASIBLE mean the state cannot be completed (a leaf cannot be
-    satisfied from below, so its A entry is always INFEASIBLE).
+    ``order`` and ``parent`` come from ``rooted_order(adj, root)``, so
+    ``root``'s component is rooted at ``root`` and every other component at
+    its smallest vertex. Costs at or above INFEASIBLE mean the state cannot
+    be completed (a leaf cannot be satisfied from below, so its A entry is
+    always INFEASIBLE).
     """
 
     root: int
-    order: tuple[int, ...]
-    parent: tuple[int, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    d: tuple[int, ...]
+    order: list[int]
+    parent: list[int]
+    a: list[int]
+    b: list[int]
+    c: list[int]
+    d: list[int]
+
+    @property
+    def roots(self) -> list[int]:
+        """The component roots, in increasing label order."""
+        return [v for v, p in enumerate(self.parent) if p < 0]
 
 
-def _tables(adj: _Adjacency, root: int) -> StateTable:
-    """Run the DP rooted at ``root`` over its component, keeping all states."""
+def _tables(adj: _Adjacency, root: int = 0) -> StateTable:
+    """Run the DP over every component, keeping all states; see StateTable."""
     n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    seen = bytearray(n)
-    seen[root] = 1
-    for v in order:
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                parent[u] = v
-                order.append(u)
-    a = [0] * n
+    order, parent = rooted_order(adj, root)
+    # Until the walk reaches v, b[v] sums min(A, C) over v's finished
+    # children, a[v] holds their cheapest swap to D, c[v] sums min(A, C, D)
+    # and d[v] sums min(B, C, D); reaching v turns them into v's own costs.
+    # Reusing the four lists keeps one live int per state, not two.
+    a = [INFEASIBLE] * n
     b = [0] * n
     c = [0] * n
     d = [0] * n
-    sum_ac = [0] * n
-    swap = [INFEASIBLE] * n
-    sum_bcd = [0] * n
-    sum_acd = [0] * n
     for v in reversed(order):
-        bv = sum_ac[v]
-        av = bv + swap[v]
-        cv = 1 + sum_acd[v]
-        dv = 2 + sum_bcd[v]
-        a[v], b[v], c[v], d[v] = av, bv, cv, dv
+        bv = b[v]
+        av = a[v] = bv + a[v]
+        cv = c[v] = 1 + c[v]
+        dv = d[v] = 2 + d[v]
         p = parent[v]
         if p >= 0:
             mac = av if av < cv else cv
-            sum_ac[p] += mac
+            b[p] += mac
             delta = dv - mac
-            if delta < swap[p]:
-                swap[p] = delta
+            if delta < a[p]:
+                a[p] = delta
             mbcd = bv if bv < cv else cv
             if dv < mbcd:
                 mbcd = dv
-            sum_bcd[p] += mbcd
-            sum_acd[p] += mac if mac < dv else dv
-    return StateTable(
-        root=root,
-        order=tuple(order),
-        parent=tuple(parent),
-        a=tuple(a),
-        b=tuple(b),
-        c=tuple(c),
-        d=tuple(d),
-    )
+            d[p] += mbcd
+            c[p] += mac if mac < dv else dv
+    return StateTable(root=root, order=order, parent=parent, a=a, b=b, c=c, d=d)
 
 
 class _RootCosts(NamedTuple):
     """Whole-tree costs with each vertex in turn as the root.
 
     ``a``, ``c``, ``d`` hold the root states A, C, D of every vertex, so the
-    domination number is min(a[v], c[v], d[v]) at any v. ``deleted[v]`` is
-    the domination number of T - v.
+    domination number of a tree is min(a[v], c[v], d[v]) at any v.
+    ``deleted[v]`` is the domination number of T - v.
     """
 
     a: list[int]
@@ -233,7 +163,7 @@ class _RootCosts(NamedTuple):
 
 
 def _all_roots(adj: _Adjacency) -> _RootCosts:
-    """Root the DP at every vertex of a tree at once (rerooting). O(n).
+    """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
     The down tables of ``_tables(adj, 0)`` give each vertex's side below
     its parent. One top-down pass adds the side above: for a vertex u with
@@ -242,7 +172,8 @@ def _all_roots(adj: _Adjacency) -> _RootCosts:
     cheapest swap to D drops one by keeping the best two swaps and which
     neighbour holds the best. With every neighbour side known, C at v is 1
     plus the sum of each side's best root state, and that sum alone is the
-    number of T - v, whose components are exactly those sides.
+    number of T - v, whose components are exactly those sides. On a forest
+    every cost is that of the vertex's own component.
     """
     n = len(adj)
     table = _tables(adj, 0)
@@ -309,19 +240,22 @@ def _all_roots(adj: _Adjacency) -> _RootCosts:
 
 def prd_number(x: Tree | Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    return _gamma(_adjacency_of(x))
+    table = _tables(_adjacency_of(x))
+    a, c, d = table.a, table.c, table.d
+    return sum(min(a[v], c[v], d[v]) for v in table.roots)
 
 
-def _reconstruct(table: StateTable, adj: _Adjacency, root_state: str) -> dict[int, int]:
-    """Walk one component's table back into labels, deterministically.
+def _reconstruct(
+    table: StateTable, adj: _Adjacency, root: int, root_state: str, values: list[int]
+) -> None:
+    """Walk the table back into labels for ``root``'s component, deterministically.
 
     Ties prefer the earlier state letter, then the lower child label (the
     adjacency order is ascending, so first-found wins).
     """
     a, b, c, d = table.a, table.b, table.c, table.d
     parent = table.parent
-    values: dict[int, int] = {}
-    stack = [(table.root, root_state)]
+    stack = [(root, root_state)]
     while stack:
         v, state = stack.pop()
         children = [u for u in adj[v] if parent[u] == v]
@@ -361,45 +295,24 @@ def _reconstruct(table: StateTable, adj: _Adjacency, root_state: str) -> dict[in
                     stack.append((u, "C"))
                 else:
                     stack.append((u, "D"))
-    return values
-
-
-def _component_roots(adj: _Adjacency) -> list[int]:
-    n = len(adj)
-    seen = bytearray(n)
-    roots = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        roots.append(s)
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
-    return roots
 
 
 def optimal_assignment(x: Tree | Forest) -> Assignment:
-    """One minimum-weight PRDF, reconstructed from the DP tables.
+    """One minimum-weight PRDF of a tree or forest, from one DP table. O(n).
 
+    The labels of each component are an optimum of that component alone.
     Deterministic: each component is rooted at its smallest vertex and ties
     break toward the earlier state letter, then the lower child label.
     """
     adj = _adjacency_of(x)
+    table = _tables(adj)
     values = [0] * len(adj)
-    for root in _component_roots(adj):
-        table = _tables(adj, root)
+    for root in table.roots:
         best = None
         for state, cost in (("A", table.a[root]), ("C", table.c[root]), ("D", table.d[root])):
             if best is None or cost < best[1]:
                 best = (state, cost)
-        part = _reconstruct(table, adj, best[0])
-        for v, val in part.items():
-            values[v] = val
+        _reconstruct(table, adj, root, best[0], values)
     return Assignment(tuple(values))
 
 
@@ -428,17 +341,19 @@ def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
     return best if best < INFEASIBLE else float("inf")
 
 
-def forced_zero_set(t: Tree) -> frozenset[int]:
-    """Vertices labeled 0 by every minimum-weight PRDF.
+def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
+    """Vertices labeled 0 by every minimum-weight PRDF of a tree or forest.
 
     A vertex qualifies exactly when forcing any positive label on it costs
-    strictly more than the unconstrained optimum: min(C, D) > gamma with
-    the tree rooted there. One rerooting pass gives every root, O(n) total.
+    strictly more than the optimum of its own component: A < min(C, D) with
+    that component rooted at the vertex (on a tree, min(C, D) > gamma). One
+    rerooting pass gives every root, O(n) total.
     """
-    costs = _all_roots(t.adjacency)
-    base = costs.number
+    costs = _all_roots(_adjacency_of(x))
     return frozenset(
-        v for v, (cv, dv) in enumerate(zip(costs.c, costs.d)) if cv > base and dv > base
+        v
+        for v, (av, cv, dv) in enumerate(zip(costs.a, costs.c, costs.d))
+        if av < cv and av < dv
     )
 
 

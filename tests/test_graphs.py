@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import labeled_trees
+from conftest import labeled_forests, labeled_trees
 from prdom import (
     Forest,
     Graph,
@@ -18,6 +19,7 @@ from prdom import (
     parse_edge_list,
     remove_vertex,
 )
+from prdom.graphs import rooted_order
 
 
 def test_parse_edge_list_p3():
@@ -53,6 +55,12 @@ def test_parse_edge_list_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_edge_list(text)
     assert exc.value.line == line
+
+
+def test_parse_edge_list_rejects_undecodable_bytes():
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(b"3\n0 1\n1 \xff2\n")
+    assert "byte 0xff at offset 8" in str(exc.value)
 
 
 def test_edge_list_round_trip():
@@ -167,3 +175,39 @@ def test_remove_vertex_components_partition_the_rest(t):
         assert sum(tree.n for tree, _ in parts) == t.n - 1
         internal = t.degree(v) if t.n > 1 else 0
         assert f.ncomponents == internal
+
+
+def test_rooted_order_of_the_empty_graph():
+    assert rooted_order(()) == ([], [])
+
+
+def _smallest_in_component(n, edges):
+    """smallest[v] is the least vertex of v's component, by union-find."""
+    smallest = list(range(n))
+
+    def find(v):
+        while smallest[v] != v:
+            v = smallest[v]
+        return v
+
+    for u, v in edges:
+        a, b = find(u), find(v)
+        smallest[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+@given(labeled_forests(), st.data())
+@settings(max_examples=150)
+def test_rooted_order_walks_every_component(f, data):
+    root = data.draw(st.integers(0, f.n - 1)) if f.n else 0
+    order, parent = rooted_order(f.adjacency, root)
+    assert sorted(order) == list(range(f.n))
+    position = {v: i for i, v in enumerate(order)}
+    for v in order:
+        if parent[v] >= 0:
+            assert parent[v] in f.adjacency[v]
+            assert position[parent[v]] < position[v]
+    roots = [v for v in order if parent[v] < 0]
+    smallest = _smallest_in_component(f.n, f.graph.edges())
+    expected = [root] + sorted(set(smallest) - {smallest[root]}) if f.n else []
+    assert roots == expected

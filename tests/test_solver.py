@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from conftest import labeled_trees, small_graphs
+from conftest import labeled_forests, labeled_trees, small_graphs
 from prdom import (
     INFEASIBLE,
     Assignment,
@@ -261,3 +261,33 @@ def test_prd_number_on_forest_object():
 def test_brute_ternary_and_two_sets_raw_agree_on_empty():
     assert _brute_ternary([])[0] == 0
     assert _brute_two_sets([])[0] == 0
+
+
+def _per_component_witness(f):
+    values = [0] * f.n
+    for tree, labels in f.component_trees():
+        for local, value in enumerate(optimal_assignment(tree).values):
+            values[labels[local]] = value
+    return tuple(values)
+
+
+@given(labeled_forests())
+@settings(max_examples=150, deadline=None)
+def test_forest_solvers_match_the_per_component_route(f):
+    parts = f.component_trees()
+    number = prd_number(f)
+    assert number == sum(prd_number(tree) for tree, _ in parts)
+    if f.n <= 12:
+        assert number == brute_force(f)[0]
+    witness = optimal_assignment(f)
+    assert witness.values == _per_component_witness(f)
+    assert witness.is_valid_on(f)
+    assert forced_zero_set(f) == {
+        labels[v] for tree, labels in parts for v in forced_zero_set(tree)
+    }
+
+
+def test_witness_of_many_isolated_vertices_is_all_ones():
+    f = Forest(Graph(20000, []))
+    assert optimal_assignment(f).values == (1,) * 20000
+    assert forced_zero_set(f) == frozenset()
