@@ -138,9 +138,11 @@ def _input_info(forest: Forest) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     forest = _as_forest(_parse_input(args))
-    result: dict = {"number": prd_number(forest)}
-    if args.witness:
-        result["witness"] = list(optimal_assignment(forest).values)
+    # a witness's weight is the number, so it needs no second DP table
+    witness = optimal_assignment(forest) if args.witness else None
+    result: dict = {"number": prd_number(forest) if witness is None else witness.weight}
+    if witness is not None:
+        result["witness"] = list(witness.values)
     if args.wset:
         result["forced_zero"] = sorted(forced_zero_set(forest))
     _report(

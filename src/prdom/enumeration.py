@@ -1,10 +1,11 @@
 """Exhaustive generation of trees.
 
-``enumerate_free_trees`` yields one representative per isomorphism class
-using the level-sequence successor method for rooted trees, filtered to
-centroid-rooted representatives and deduplicated by canonical form. The
-independent cross-check path, generating every labeled tree from its Prufer
-sequence, lives here too; it is exponentially slower and exists so the two
+``enumerate_free_trees`` yields one representative per isomorphism class in
+a single stage: the Wright-Richmond-Odlyzko-McKay generator walks canonical
+level sequences rooted at a center and emits each free tree exactly once,
+so nothing is filtered or deduplicated afterwards. The independent
+cross-check path, generating every labeled tree from its Prufer sequence,
+lives here too; it is exponentially slower and exists so the two
 generators can be compared on small orders.
 """
 
@@ -15,41 +16,32 @@ import itertools
 import random
 from collections.abc import Iterator, Sequence
 
-from .canonical import canonical_form
 from .graphs import Graph, Tree, make_path
 
 FREE_TREE_MAX_N = 18
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
-    """Canonical level sequences of all rooted trees on n vertices.
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a canonical level sequence, or None.
 
-    Root has level 1; a sequence is canonical when every vertex's child
-    sequences appear in non-increasing lexicographic order. Successor rule:
-    truncate at the rightmost level > 2 and tile the block starting at that
-    vertex's parent.
+    The root has level 1; a sequence is canonical when every vertex's child
+    sequences appear in non-increasing lexicographic order. The successor
+    truncates at position ``p`` (by default the rightmost level > 2) and
+    tiles the block starting at that vertex's parent.
     """
-    if n == 1:
-        yield [1]
-        return
-    seq = list(range(1, n + 1))
-    while True:
-        yield seq
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        nxt = seq[:p]
-        block = seq[q:p]
-        while len(nxt) < n:
-            nxt.extend(block[: n - len(nxt)])
-        seq = nxt
+    if p is None:
+        p = len(seq) - 1
+        while p > 0 and seq[p] <= 2:
+            p -= 1
+        if p == 0:
+            return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    nxt = seq[:p]
+    for i in range(p, len(seq)):
+        nxt.append(nxt[i - p + q])
+    return nxt
 
 
 def _sequence_parents(seq: Sequence[int]) -> list[int]:
@@ -66,54 +58,53 @@ def _sequence_parents(seq: Sequence[int]) -> list[int]:
     return parent
 
 
-def _root_is_centroid(parent: list[int]) -> bool:
-    n = len(parent)
-    size = [1] * n
-    widest = [0] * n
-    for v in range(n - 1, 0, -1):  # children always follow their parent
-        p = parent[v]
-        size[p] += size[v]
-        if size[v] > widest[p]:
-            widest[p] = size[v]
-    best = n
-    for v in range(n):
-        w = widest[v]
-        up = n - size[v]
-        if up > w:
-            w = up
-        if w < best:
-            best = w
-    return widest[0] == best  # root has no "up" part
-
-
 def _parents_to_tree(parent: list[int]) -> Tree:
     n = len(parent)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        adj[parent[v]].append(v)
-        adj[v].append(parent[v])
-    g = Graph._from_adjacency(n, tuple(tuple(sorted(a)) for a in adj))
-    return Tree._wrap(g)
+    return Tree._wrap(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
+
+
+def _split_first_subtree(seq: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree and the tree left when it is cut off.
+
+    Both come back as level sequences with the root at level 1.
+    """
+    m = 2
+    while m < len(seq) and seq[m] != 2:
+        m += 1
+    return [lev - 1 for lev in seq[1:m]], [1, *seq[m:]]
 
 
 def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """One tree per isomorphism class, in a fixed deterministic order."""
+    """One tree per isomorphism class, in a fixed deterministic order.
+
+    Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15(2), 1986): walk
+    the canonical level sequences rooted at a center and keep those whose
+    first root subtree is not above the rest of the tree in (height, size,
+    level sequence) order. When a sequence fails the test, the walk jumps
+    straight to the next one that passes, so every class is produced
+    exactly once and in constant amortized time.
+    """
     if not (1 <= n <= FREE_TREE_MAX_N):
         raise ValueError(f"supported range is 1..{FREE_TREE_MAX_N}, got {n}")
     if n <= 2:
         yield make_path(n)
         return
-    seen: set[bytes] = set()
-    for seq in _level_sequences(n):
-        parent = _sequence_parents(seq)
-        if not _root_is_centroid(parent):
-            continue
-        t = _parents_to_tree(parent)
-        key = canonical_form(t)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield t
+    # the path, rooted at its center
+    seq: list[int] | None = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while seq is not None:
+        left, rest = _split_first_subtree(seq)
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            # stepping at the first subtree's last vertex skips every sequence
+            # keeping that subtree; from level 4 on the tiling leaves the rest
+            # empty, so the tail becomes a path from the root just as tall
+            p = len(left)
+            jumped = _next_rooted(seq, p)
+            if seq[p] > 3:
+                top = max(_split_first_subtree(jumped)[0])
+                jumped[n - top :] = range(2, top + 2)
+            seq = jumped
+        yield _parents_to_tree(_sequence_parents(seq))
+        seq = _next_rooted(seq)
 
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:
@@ -128,22 +119,16 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
         if not (0 <= x < n):
             raise ValueError(f"label {x} outside 0..{n - 1}")
         degree[x] += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
+    edges: list[tuple[int, int]] = []
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        adj[leaf].append(x)
-        adj[x].append(leaf)
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    adj[u].append(v)
-    adj[v].append(u)
-    g = Graph._from_adjacency(n, tuple(tuple(sorted(a)) for a in adj))
-    return Tree._wrap(g)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Tree._wrap(Graph._from_edges(n, edges))
 
 
 def all_labeled_trees(n: int) -> Iterator[Tree]:

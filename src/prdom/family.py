@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import Tree, delete_vertices, diameter, longest_path, make_path
+from .graphs import Tree, delete_vertices, longest_path, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
@@ -136,9 +136,9 @@ def recognize(t: Tree) -> RecognitionResult:
     peels: list[tuple[tuple[int, int, int], int, tuple[int, ...]]] = []
     current = t
     while current.n > 3:
-        if diameter(current) < 4:
-            return RecognitionResult(False, None, "diameter below 4")
         path = longest_path(current)
+        if len(path) < 5:
+            return RecognitionResult(False, None, "diameter below 4")
         x1, x2, x3, x4 = path[0], path[1], path[2], path[3]
         if current.degree(x2) != 2:
             return RecognitionResult(False, None, "second path vertex degree is not 2")

@@ -54,6 +54,18 @@ class Graph:
         g.adjacency = adjacency
         return g
 
+    @classmethod
+    def _from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Trusted constructor for edges already known to be in range, loop-free
+        and distinct; builds the sorted adjacency."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
+        return cls._from_adjacency(n, tuple(map(tuple, adj)))
+
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
@@ -221,7 +233,8 @@ def parse_edge_list(data: bytes | str) -> Graph:
     """Parse the plain edge-list format.
 
     First line is the vertex count n, every following non-empty line is one
-    edge "u v" with 0-based labels. Errors report the offending line number.
+    edge "u v" with 0-based labels. Each edge is validated once, here, not
+    again by ``Graph``. Errors report the offending line number.
     """
     if isinstance(data, bytes):
         try:
@@ -240,7 +253,6 @@ def parse_edge_list(data: bytes | str) -> Graph:
         raise ParseError(f"vertex count is not an integer: {lines[0].strip()!r}", line=1) from None
     if n < 0:
         raise ParseError("vertex count must be non-negative", line=1)
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
@@ -261,8 +273,7 @@ def parse_edge_list(data: bytes | str) -> Graph:
         if key in seen:
             raise ParseError(f"duplicate edge {stripped!r}", line=idx)
         seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+    return Graph._from_edges(n, seen)
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -38,11 +38,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import Forest, Graph, Tree, rooted_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INFEASIBLE = 1 << 60
 BRUTE_FORCE_MAX_N = 16
@@ -81,10 +82,6 @@ class Assignment:
 def is_valid_prdf(g: Graph | Tree | Forest, values: Sequence[int]) -> bool:
     """Definitional check: every 0-vertex has exactly one 2-neighbor."""
     return Assignment(tuple(values)).is_valid_on(g)
-
-
-def _adjacency_of(x: Graph | Tree | Forest) -> _Adjacency:
-    return x.adjacency
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ def _all_roots(adj: _Adjacency) -> _RootCosts:
 
 def prd_number(x: Tree | Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    table = _tables(_adjacency_of(x))
+    table = _tables(x.adjacency)
     a, c, d = table.a, table.c, table.d
     return sum(min(a[v], c[v], d[v]) for v in table.roots)
 
@@ -304,7 +301,7 @@ def optimal_assignment(x: Tree | Forest) -> Assignment:
     Deterministic: each component is rooted at its smallest vertex and ties
     break toward the earlier state letter, then the lower child label.
     """
-    adj = _adjacency_of(x)
+    adj = x.adjacency
     table = _tables(adj)
     values = [0] * len(adj)
     for root in table.roots:
@@ -349,7 +346,7 @@ def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
     that component rooted at the vertex (on a tree, min(C, D) > gamma). One
     rerooting pass gives every root, O(n) total.
     """
-    costs = _all_roots(_adjacency_of(x))
+    costs = _all_roots(x.adjacency)
     return frozenset(
         v
         for v, (av, cv, dv) in enumerate(zip(costs.a, costs.c, costs.d))
@@ -366,6 +363,7 @@ _POPCOUNT16: np.ndarray | None = None
 def _popcount16() -> np.ndarray:
     global _POPCOUNT16
     if _POPCOUNT16 is None:
+        import numpy as np
         table = np.zeros(1 << 16, dtype=np.uint8)
         for i in range(1, 1 << 16):
             table[i] = table[i >> 1] + (i & 1)
@@ -407,6 +405,7 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
     1. Any minimum-weight PRDF arises this way, so scanning all S recovers
     both the optimum and the complete set of optimal labelings.
     """
+    import numpy as np
     n = len(adj)
     if n == 0:
         return 0, [()]
@@ -452,7 +451,7 @@ def brute_force(
     return identical results; with ``enumerate_all`` the full list of
     minimum-weight labelings comes back sorted.
     """
-    adj = _adjacency_of(g)
+    adj = g.adjacency
     n = len(adj)
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")

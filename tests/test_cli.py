@@ -371,3 +371,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["number"] == 2
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy serves only the brute-force subset scan, not the commands
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, prdom.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

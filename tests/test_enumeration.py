@@ -1,6 +1,8 @@
+import networkx as nx
 import pytest
 
 from prdom import (
+    Graph,
     Tree,
     all_labeled_trees,
     canonical_form,
@@ -11,7 +13,7 @@ from prdom import (
 # counts of free trees by order
 EXPECTED_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
-    9: 47, 10: 106, 11: 235, 12: 551, 13: 1301,
+    9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741,
 }
 
 
@@ -43,7 +45,7 @@ def _free_tree_counts(limit: int) -> list[int]:
 
 
 def test_counting_recurrence_matches_known_values():
-    assert _free_tree_counts(13)[1:] == [EXPECTED_COUNTS[n] for n in range(1, 14)]
+    assert _free_tree_counts(15)[1:] == [EXPECTED_COUNTS[n] for n in range(1, 16)]
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))
@@ -52,7 +54,7 @@ def test_class_counts(n):
 
 
 def test_output_is_duplicate_free_and_valid():
-    for n in range(1, 11):
+    for n in range(1, 14):
         forms = set()
         for t in enumerate_free_trees(n):
             assert isinstance(t, Tree) and t.n == n
@@ -68,6 +70,18 @@ def test_matches_prufer_dedup_oracle():
         from_prufer = {canonical_form(t) for t in all_labeled_trees(n)}
         from_generator = {canonical_form(t) for t in enumerate_free_trees(n)}
         assert from_prufer == from_generator
+
+
+def test_matches_networkx_nonisomorphic_trees():
+    # networkx's generator is an independent implementation of the same
+    # algorithm; the classes must agree, whatever the order and labels
+    for n in range(1, 13):
+        from_networkx = {
+            canonical_form(Tree(Graph(n, list(g.edges()))))
+            for g in nx.nonisomorphic_trees(n)
+        }
+        from_generator = {canonical_form(t) for t in enumerate_free_trees(n)}
+        assert from_networkx == from_generator
 
 
 @pytest.mark.slow

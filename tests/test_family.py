@@ -9,6 +9,7 @@ from prdom import (
     Step,
     canonical_form,
     check_stable_profile,
+    diameter,
     enumerate_family,
     enumerate_free_trees,
     forced_zero_set,
@@ -101,6 +102,13 @@ def test_recognize_accepts_p9():
 
 def test_recognize_rejects_double_star():
     assert not recognize(make_double_star(3, 3)).accepted
+
+
+def test_recognize_names_a_diameter_below_four():
+    for n in (6, 9, 12):
+        for t in enumerate_free_trees(n):
+            if diameter(t) < 4:
+                assert recognize(t).reason == "diameter below 4"
 
 
 def test_recognition_matches_family_membership_exhaustively():

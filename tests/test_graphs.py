@@ -68,6 +68,17 @@ def test_edge_list_round_trip():
     assert parse_edge_list(emit_edge_list(t.graph)) == t.graph
 
 
+@given(labeled_forests(), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_edge_list_round_trip_of_forests(f, rng):
+    assert parse_edge_list(emit_edge_list(f.graph)) == f.graph
+    # edges in any order and orientation give the same sorted adjacency
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in f.graph.edges()]
+    rng.shuffle(edges)
+    text = f"{f.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    assert parse_edge_list(text) == f.graph
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(2, [(0, 0)])

@@ -282,6 +282,7 @@ def test_forest_solvers_match_the_per_component_route(f):
     witness = optimal_assignment(f)
     assert witness.values == _per_component_witness(f)
     assert witness.is_valid_on(f)
+    assert witness.weight == number
     assert forced_zero_set(f) == {
         labels[v] for tree, labels in parts for v in forced_zero_set(tree)
     }
