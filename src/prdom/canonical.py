@@ -1,115 +1,105 @@
-"""Canonical byte encodings of unrooted trees.
+"""Canonical byte encodings of unrooted trees, one per forest component.
 
-Two trees get the same encoding exactly when they are isomorphic. The tree
-is rooted at its centroid; with two centroids the central edge is split and
-both orientations of the pair encoding are tried, keeping the smaller. The
-rooted encoding is the classic balanced-parenthesis form with children in a
-canonical order, computed level by level with code interning so the whole
-thing runs in O(n log n) without recursion.
+Two trees get the same encoding exactly when they are isomorphic. Each
+component is rooted at its centroid; with two centroids the central edge is
+cut and both orientations of the pair encoding are tried, keeping the
+smaller. The rooted encoding is the balanced-parenthesis form, children in
+the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
+forest is encoded in place: one ``rooted_order`` walk finds the centroids, a
+second roots every component there, and each level is ranked over all
+components at once: O(n log n), without recursion or relabelling.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import Tree, rooted_order
+from .graphs import Forest, Tree, rooted_order
 
 CanonicalForm = bytes
 
 
-def centroids(t: Tree) -> tuple[int, ...]:
-    """The one or two vertices minimizing the largest component of T - v."""
-    n = t.n
-    order, parent = rooted_order(t.adjacency)
-    size = [1] * n
-    widest = [0] * n  # largest child-subtree size
+def _centroids(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Each component's one or two centroids, ascending; components in order
+    of their smallest vertex."""
+    order, parent = rooted_order(adj)
+    size = [1] * len(adj)
+    widest = [0] * len(adj)  # largest child-subtree size
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
             size[p] += size[v]
             if size[v] > widest[p]:
                 widest[p] = size[v]
-    best = n
-    out: list[int] = []
-    for v in range(n):
-        w = widest[v]
-        up = n - size[v]
-        if up > w:
-            w = up
-        if w < best:
-            best = w
-            out = [v]
-        elif w == best:
-            out.append(v)
-    return tuple(out)
+    # v is a centroid exactly when no component of T - v exceeds half of T
+    out: list[list[int]] = []
+    for v in order:
+        if parent[v] < 0:
+            total = size[v]
+            half = total // 2
+            out.append([])
+        if widest[v] <= half and total - size[v] <= half:
+            out[-1].append(v)
+    return [sorted(cs) for cs in out]
 
 
-def _rooted_encoding(adj: Sequence[Sequence[int]], root: int, skip: int = -1) -> bytes:
-    """Canonical parenthesis string of the component of ``root``, rooted there.
+def centroids(t: Tree) -> tuple[int, ...]:
+    """The one or two vertices minimizing the largest component of T - v."""
+    return tuple(_centroids(t.adjacency)[0])
 
-    ``skip`` cuts one vertex out of the walk, which is how a bicentroidal
-    tree is split along its central edge.
-    """
-    n = len(adj)
-    parent = [-2] * n
-    order = [root]
-    parent[root] = root
-    if skip >= 0:
-        parent[skip] = -3
-    for v in order:
-        for u in adj[v]:
-            if parent[u] == -2:
-                parent[u] = v
-                order.append(u)
-    parent[root] = -1
-    depth = {root: 0}
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-        children[parent[v]].append(v)
-    by_depth: dict[int, list[int]] = {}
-    for v in order:
-        by_depth.setdefault(depth[v], []).append(v)
-    # Assign per-level ids: vertices with isomorphic subtrees share an id.
-    code: dict[int, int] = {}
-    for d in sorted(by_depth, reverse=True):
-        keyed = []
-        for v in by_depth[d]:
-            kids = sorted(code[u] for u in children[v])
-            keyed.append((tuple(kids), v))
-        keyed.sort(key=lambda kv: kv[0])
-        rank = 0
-        prev = None
-        for key, v in keyed:
-            if key != prev:
-                if prev is not None:
-                    rank += 1
-                prev = key
-            code[v] = rank
-    for v in order:
-        children[v].sort(key=code.__getitem__)
+
+def _parenthesize(table: list[tuple[int, ...]], code: int) -> bytes:
+    """The parenthesis string of a subtree class, children in code order."""
     out = bytearray()
-    stack: list[tuple[int, int]] = [(root, 0)]
+    stack = [code]
     while stack:
-        v, i = stack.pop()
-        if i == 0:
-            out.append(40)  # (
-        kids = children[v]
-        if i < len(kids):
-            stack.append((v, i + 1))
-            stack.append((kids[i], 0))
-        else:
+        c = stack.pop()
+        if c < 0:
             out.append(41)  # )
+            continue
+        out.append(40)  # (
+        stack.append(-1)
+        stack.extend(reversed(table[c]))
     return bytes(out)
+
+
+def canonical_forms(x: Tree | Forest) -> list[CanonicalForm]:
+    """One relabeling-invariant form per component, in order of each
+    component's smallest vertex: equal forms iff isomorphic components."""
+    adj = x.adjacency
+    cents = _centroids(adj)
+    order, parent = rooted_order(adj, [cs[0] for cs in cents])
+    for cs in cents:
+        if len(cs) == 2:
+            parent[cs[1]] = -1  # cut the central edge: two rooted halves
+    levels: list[list[int]] = []
+    code = [0] * len(adj)  # the depth, until the vertex's level is ranked
+    for v in order:
+        p = parent[v]
+        d = code[v] = code[p] + 1 if p >= 0 else 0
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(v)
+    # Isomorphic subtrees share a code c; table[c] holds its sorted child
+    # codes, which alone rank the level, so one ranking serves every tree.
+    table: list[tuple[int, ...]] = []
+    for level in reversed(levels):
+        keys = [tuple(sorted([code[u] for u in adj[v] if parent[u] == v])) for v in level]
+        distinct = sorted(set(keys))
+        rank = {key: c for c, key in enumerate(distinct, len(table))}
+        table += distinct
+        for v, key in zip(level, keys):
+            code[v] = rank[key]
+    forms = []
+    for cs in cents:
+        # no encoding is a prefix of another, so sorted halves give the
+        # smaller of the two concatenations
+        halves = sorted(_parenthesize(table, code[c]) for c in cs)
+        forms.append((b"B" if len(cs) == 2 else b"C") + b"".join(halves))
+    return forms
 
 
 def canonical_form(t: Tree) -> CanonicalForm:
     """Relabeling-invariant encoding: equal forms iff isomorphic trees."""
-    cs = centroids(t)
-    adj = t.adjacency
-    if len(cs) == 1:
-        return b"C" + _rooted_encoding(adj, cs[0])
-    c1, c2 = cs
-    e1 = _rooted_encoding(adj, c1, skip=c2)
-    e2 = _rooted_encoding(adj, c2, skip=c1)
-    return b"B" + min(e1 + e2, e2 + e1)
+    (form,) = canonical_forms(t)
+    return form

@@ -11,7 +11,7 @@ byte for byte, with wall-clock timing carried in a separate key that the
 determinism contract excludes.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 unparseable or unusable
-input, 3 size limit, 4 internal invariant breach.
+input, 3 size limit, 4 internal invariant breach or any other error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import __version__
-from .canonical import canonical_form
+from .canonical import canonical_form, canonical_forms
 from .family import (
     InvalidStepError,
     enumerate_family,
@@ -35,8 +35,8 @@ from .family import (
     serialize_certificate,
 )
 from .graph6 import emit_graph6, parse_graph6
-from .graphs import Forest, Graph, ParseError, Tree, make_path, parse_edge_list
-from .solver import SizeLimitError, forced_zero_set, optimal_assignment, prd_number
+from .graphs import Forest, Graph, ParseError, SizeLimitError, Tree, make_path, parse_edge_list
+from .solver import forced_zero_set, optimal_assignment, prd_number
 from .stability import attach_pendant_path, stability_report
 from .sweeps import (
     ATTACHMENT_MAX_N,
@@ -100,11 +100,6 @@ def _as_tree(g: Graph) -> Tree:
         raise _UsageError(f"input is not a tree: {exc}") from None
 
 
-def _digest(forest: Forest) -> str:
-    forms = sorted(canonical_form(t) for t, _ in forest.component_trees())
-    return "sha256:" + hashlib.sha256(b"|".join(forms)).hexdigest()
-
-
 def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -126,12 +121,13 @@ def _report(args: argparse.Namespace, command: str, options: dict, input_info: d
     _write_output(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _input_info(forest: Forest) -> dict:
+def _input_info(x: Tree | Forest) -> dict:
+    forms = canonical_forms(x)
     return {
-        "digest": _digest(forest),
-        "n": forest.n,
-        "edges": forest.graph.m,
-        "components": forest.ncomponents,
+        "digest": "sha256:" + hashlib.sha256(b"|".join(sorted(forms))).hexdigest(),
+        "n": x.n,
+        "edges": x.graph.m,
+        "components": len(forms),
     }
 
 
@@ -164,7 +160,7 @@ def _cmd_stable(args: argparse.Namespace) -> int:
         args,
         "stable",
         {"format": args.format},
-        _input_info(Forest(tree.graph)),
+        _input_info(tree),
         {"base": report.base, "deltas": list(report.deltas), "stable": report.stable},
         started,
     )
@@ -192,7 +188,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         args,
         "recognize",
         {"format": args.format},
-        _input_info(Forest(tree.graph)),
+        _input_info(tree),
         result,
         started,
     )
@@ -365,6 +361,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE_ERROR
     except (InvalidStepError, AssertionError) as exc:
         print(f"prdom: internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"prdom: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

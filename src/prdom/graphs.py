@@ -22,6 +22,14 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class SizeLimitError(ValueError):
+    """Input too large for an exhaustive routine or a declared size cap."""
+
+
+# parse_edge_list checks n against this before it allocates per-vertex lists
+EDGE_LIST_MAX_N = 10_000_000
+
+
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
@@ -201,20 +209,20 @@ class Forest:
 
 
 def rooted_order(
-    adj: Sequence[Sequence[int]], root: int = 0
+    adj: Sequence[Sequence[int]], roots: Iterable[int] = ()
 ) -> tuple[list[int], list[int]]:
     """BFS order and parent array over every component of a graph.
 
-    ``root``'s component comes first, rooted at ``root``; every other
-    component follows in order of its smallest vertex, rooted there. Each
-    parent precedes its children in the order, and ``parent`` is -1 exactly
-    at the component roots.
+    The components of ``roots`` come first, each rooted at the first root
+    it contains; every other component follows in order of its smallest
+    vertex, rooted there. Each parent precedes its children in the order,
+    and ``parent`` is -1 exactly at the component roots.
     """
     n = len(adj)
     parent = [-1] * n
     seen = bytearray(n)
     order: list[int] = []
-    for s in itertools.chain((root,) if n else (), range(n)):
+    for s in itertools.chain(roots, range(n)):
         if seen[s]:
             continue
         seen[s] = 1
@@ -232,9 +240,10 @@ def rooted_order(
 def parse_edge_list(data: bytes | str) -> Graph:
     """Parse the plain edge-list format.
 
-    First line is the vertex count n, every following non-empty line is one
-    edge "u v" with 0-based labels. Each edge is validated once, here, not
-    again by ``Graph``. Errors report the offending line number.
+    First line is the vertex count n (SizeLimitError above EDGE_LIST_MAX_N),
+    every following non-empty line is one edge "u v" with 0-based labels.
+    Each edge is validated once, here, not again by ``Graph``. Errors
+    report the offending line number.
     """
     if isinstance(data, bytes):
         try:
@@ -253,6 +262,8 @@ def parse_edge_list(data: bytes | str) -> Graph:
         raise ParseError(f"vertex count is not an integer: {lines[0].strip()!r}", line=1) from None
     if n < 0:
         raise ParseError("vertex count must be non-negative", line=1)
+    if n > EDGE_LIST_MAX_N:
+        raise SizeLimitError(f"edge lists capped at n={EDGE_LIST_MAX_N}, got {n}")
     seen: set[tuple[int, int]] = set()
     for idx, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
@@ -333,7 +344,7 @@ def leaves_of(t: Tree, v: int) -> frozenset[int]:
 
 def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
     """Distances from ``start`` to every vertex of a tree."""
-    order, parent = rooted_order(adj, start)
+    order, parent = rooted_order(adj, (start,))
     dist = [0] * len(adj)
     for v in order[1:]:
         dist[v] = dist[parent[v]] + 1
@@ -370,7 +381,7 @@ def longest_path(t: Tree) -> list[int]:
     )
     # Root at start; a path from the root is a descent, so greedily take the
     # smallest child whose downward height still reaches the full length.
-    order, parent = rooted_order(adj, start)
+    order, parent = rooted_order(adj, (start,))
     height = [0] * n
     for v in reversed(order):
         p = parent[v]

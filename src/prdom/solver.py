@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import Forest, Graph, Tree, rooted_order
+from .graphs import Forest, Graph, SizeLimitError, Tree, rooted_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,10 +49,6 @@ INFEASIBLE = 1 << 60
 BRUTE_FORCE_MAX_N = 16
 
 _Adjacency = Sequence[Sequence[int]]
-
-
-class SizeLimitError(ValueError):
-    """Input too large for an exhaustive routine."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ def is_valid_prdf(g: Graph | Tree | Forest, values: Sequence[int]) -> bool:
 class StateTable:
     """Per-vertex costs of the four root-directed states, over a forest.
 
-    ``order`` and ``parent`` come from ``rooted_order(adj, root)``, so
+    ``order`` and ``parent`` come from ``rooted_order(adj, (root,))``, so
     ``root``'s component is rooted at ``root`` and every other component at
     its smallest vertex. Costs at or above INFEASIBLE mean the state cannot
     be completed (a leaf cannot be satisfied from below, so its A entry is
@@ -112,7 +108,7 @@ class StateTable:
 def _tables(adj: _Adjacency, root: int = 0) -> StateTable:
     """Run the DP over every component, keeping all states; see StateTable."""
     n = len(adj)
-    order, parent = rooted_order(adj, root)
+    order, parent = rooted_order(adj, (root,) if n else ())
     # Until the walk reaches v, b[v] sums min(A, C) over v's finished
     # children, a[v] holds their cheapest swap to D, c[v] sums min(A, C, D)
     # and d[v] sums min(B, C, D); reaching v turns them into v's own costs.

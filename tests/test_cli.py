@@ -61,6 +61,27 @@ def test_solve_graph6_input(monkeypatch, capsys):
     assert json.loads(out)["result"]["number"] == 2
 
 
+# A spider with legs 1, 2, 3 (one centroid), a star K1,3 joined at its centre
+# to the end of a P4 (two centroids, unequal halves), P8 and three isolated
+# vertices, with labels and edge order shuffled.
+GOLDEN_FOREST = (
+    "26\n20 23\n19 11\n15 13\n22 5\n12 8\n12 6\n25 20\n6 2\n19 4\n0 21\n"
+    "13 17\n9 0\n19 24\n12 22\n19 1\n5 18\n1 9\n17 7\n7 25\n14 15\n"
+)
+
+
+def test_golden_digest(monkeypatch, capsys):
+    code, out, _ = run_cli(["solve"], GOLDEN_FOREST, monkeypatch, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["input"] == {
+        "components": 6,
+        "digest": "sha256:eb8a06b000fe8df600ea51ee062d71d4de84c366b1676d493fcb16050e10ebd0",
+        "edges": 20,
+        "n": 26,
+    }
+
+
 def test_determinism_excluding_timing(monkeypatch, capsys):
     payloads = []
     for _ in range(2):
@@ -147,6 +168,24 @@ def test_size_limit_exit_code(monkeypatch, capsys):
     )
     assert code == 3
     assert "size limit" in err
+
+
+def test_edge_list_vertex_cap_exit_code(monkeypatch, capsys):
+    code, out, err = run_cli(["solve"], "100000000000\n", monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "prdom: size limit: edge lists capped at n=10000000, got 100000000000\n"
+
+
+def test_unexpected_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    code, out, err = run_cli(["solve"], P3_EDGELIST, monkeypatch, capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "prdom: internal error: RuntimeError: boom second line\n"
 
 
 def test_generate_zero_steps_is_base_path(monkeypatch, capsys):

@@ -3,10 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled_forests, labeled_trees
+import prdom
+import prdom.solver
 from prdom import (
     Forest,
     Graph,
     ParseError,
+    SizeLimitError,
     Tree,
     diameter,
     emit_edge_list,
@@ -19,7 +22,7 @@ from prdom import (
     parse_edge_list,
     remove_vertex,
 )
-from prdom.graphs import rooted_order
+from prdom.graphs import EDGE_LIST_MAX_N, rooted_order
 
 
 def test_parse_edge_list_p3():
@@ -61,6 +64,17 @@ def test_parse_edge_list_rejects_undecodable_bytes():
     with pytest.raises(ParseError) as exc:
         parse_edge_list(b"3\n0 1\n1 \xff2\n")
     assert "byte 0xff at offset 8" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [EDGE_LIST_MAX_N + 1, 100_000_000_000])
+def test_parse_edge_list_caps_the_vertex_count(n):
+    # the count is rejected before any per-vertex list is allocated
+    with pytest.raises(SizeLimitError, match=f"capped at n={EDGE_LIST_MAX_N}, got {n}"):
+        parse_edge_list(f"{n}\n")
+
+
+def test_size_limit_error_is_one_class():
+    assert prdom.SizeLimitError is prdom.solver.SizeLimitError is SizeLimitError
 
 
 def test_edge_list_round_trip():
@@ -210,8 +224,8 @@ def _smallest_in_component(n, edges):
 @given(labeled_forests(), st.data())
 @settings(max_examples=150)
 def test_rooted_order_walks_every_component(f, data):
-    root = data.draw(st.integers(0, f.n - 1)) if f.n else 0
-    order, parent = rooted_order(f.adjacency, root)
+    picks = data.draw(st.lists(st.integers(0, f.n - 1), max_size=4)) if f.n else []
+    order, parent = rooted_order(f.adjacency, picks)
     assert sorted(order) == list(range(f.n))
     position = {v: i for i, v in enumerate(order)}
     for v in order:
@@ -220,5 +234,10 @@ def test_rooted_order_walks_every_component(f, data):
             assert position[parent[v]] < position[v]
     roots = [v for v in order if parent[v] < 0]
     smallest = _smallest_in_component(f.n, f.graph.edges())
-    expected = [root] + sorted(set(smallest) - {smallest[root]}) if f.n else []
+    # each pick roots its component unless an earlier pick already did
+    expected = []
+    for v in picks:
+        if all(smallest[r] != smallest[v] for r in expected):
+            expected.append(v)
+    expected += sorted(set(smallest) - {smallest[r] for r in expected})
     assert roots == expected
