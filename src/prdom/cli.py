@@ -30,14 +30,15 @@ from .family import (
     InvalidStepError,
     enumerate_family,
     parse_certificate,
+    random_certificate,
     recognize,
     replay_certificate,
     serialize_certificate,
 )
-from .graph6 import emit_graph6, parse_graph6
-from .graphs import Forest, Graph, ParseError, SizeLimitError, Tree, make_path, parse_edge_list
+from .graph6 import GRAPH6_MAX_N, emit_graph6, parse_graph6
+from .graphs import Forest, Graph, ParseError, SizeLimitError, Tree, parse_edge_list
 from .solver import forced_zero_set, optimal_assignment, prd_number
-from .stability import attach_pendant_path, stability_report
+from .stability import stability_report
 from .sweeps import (
     ATTACHMENT_MAX_N,
     CHARACTERIZATION_MAX_N,
@@ -196,28 +197,20 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    lines = []
     if args.all is not None:
         if args.all < 3 or args.all % 3 != 0:
             raise _UsageError(f"--all takes a positive multiple of 3, got {args.all}")
-        index = enumerate_family(args.all)
-        for key in index.members:
-            tree = replay_certificate(index.members[key], check_stability=False)
-            lines.append(emit_graph6(tree.graph).decode("ascii"))
+        certificates = enumerate_family(args.all).members.values()
     else:
         if args.steps < 0:
             raise _UsageError(f"--steps must be non-negative, got {args.steps}")
-        rng = random.Random(args.seed)
-        tree = make_path(3)
-        for _ in range(args.steps):
-            forced = sorted(forced_zero_set(tree))
-            if not forced:
-                raise AssertionError("construction reached a tree with no forced-zero vertex")
-            # the anchor comes from the forced-zero set just computed, so
-            # family.grow would only recompute that set to re-check it
-            tree = attach_pendant_path(tree, rng.choice(forced), 3)
-        lines.append(emit_graph6(tree.graph).decode("ascii"))
-    _write_output(args, "".join(line + "\n" for line in lines))
+        if 3 + 3 * args.steps > GRAPH6_MAX_N:
+            raise SizeLimitError(
+                f"--steps {args.steps} builds more than the graph6 cap of {GRAPH6_MAX_N} vertices"
+            )
+        certificates = [random_certificate(args.steps, random.Random(args.seed))]
+    trees = (replay_certificate(c, check_stability=False) for c in certificates)
+    _write_output(args, "".join(emit_graph6(t.graph).decode("ascii") + "\n" for t in trees))
     return EXIT_OK
 
 
@@ -246,24 +239,22 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.certificate:
         return _cmd_verify_certificate(args)
+    if args.max_n < 3:
+        raise _UsageError(f"--max-n must be at least 3, got {args.max_n}")
     started = time.perf_counter()
     suites = ("theorem", "lemmas", "observation") if args.suite == "all" else (args.suite,)
-    caps = {
-        "theorem": CHARACTERIZATION_MAX_N,
-        "lemmas": ATTACHMENT_MAX_N,
-        "observation": OPTIMA_SWEEP_MAX_N,
+    sweeps = {
+        "theorem": (CHARACTERIZATION_MAX_N, characterization_sweep),
+        "lemmas": (ATTACHMENT_MAX_N, lambda m: attachment_delta_sweep(max_n=m, seed=args.seed)),
+        "observation": (OPTIMA_SWEEP_MAX_N, optima_structure_sweep),
     }
     results: dict = {}
     for suite in suites:
+        cap, sweep = sweeps[suite]
         # an explicitly requested suite keeps its hard cap (size-limit error);
         # under "all" each suite clamps to its own cap instead
-        max_n = min(args.max_n, caps[suite]) if args.suite == "all" else args.max_n
-        if suite == "theorem":
-            results["theorem"] = characterization_sweep(max_n).payload()
-        elif suite == "lemmas":
-            results["lemmas"] = attachment_delta_sweep(max_n=max_n, seed=args.seed).payload()
-        else:
-            results["observation"] = optima_structure_sweep(max_n).payload()
+        max_n = min(args.max_n, cap) if args.suite == "all" else args.max_n
+        results[suite] = sweep(max_n).payload()
     all_passed = all(r["passed"] for r in results.values())
     _report(
         args,
@@ -359,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"prdom: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (InvalidStepError, AssertionError) as exc:
+    except InvalidStepError as exc:
         print(f"prdom: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

@@ -7,15 +7,25 @@ starting from a deterministic longest path it peels the pendant 3-chain at
 the far end, demands the two inner path vertices have degree 2, and checks
 that the anchor the chain hung from is forced-zero in the peeled tree. An
 accepted tree comes with a replayable build certificate.
+
+Pendant-P3 invariance: hang v3-v2-v1 (labels n, n+1, n+2) off u in T' to
+get T; then FZ(T), the forced-zero set, restricted to T' is FZ(T'), and
+FZ(T) = FZ(T') + {n, n+2} when u is in FZ(T'). Sketch: the chain costs 2,
+as (0, 2, 0), or (0, 0, 2) when u is 2. The only other useful chain,
+(2, 0, 1), costs 3 and leaves u a 0 with no 2-neighbor in T'; relabelling u
+to 1 gives a labeling of T', so it at best ties an optimum with u at 1 and
+adds the label 0 at u only. So ``recognize`` runs one forced-zero pass, and
+every walk from P3 carries FZ(P3) = [0, 2], appending n and n+2 per step.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import Tree, delete_vertices, longest_path, make_path
+from .graphs import Graph, Tree, delete_vertices, longest_path, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
@@ -73,24 +83,35 @@ def replay_certificate(c: Certificate, check_stability: bool = True) -> Tree:
 
     Each step must attach at a forced-zero vertex with the expected fresh
     labels; with ``check_stability`` every intermediate tree is also checked
-    to be deletion-stable.
+    to be deletion-stable. The forced-zero set is carried, not recomputed.
     """
-    t = make_path(3)
+    edges = [(0, 1), (1, 2)]
+    forced = {0, 2}
     for i, step in enumerate(c.steps):
-        n = t.n
+        n = 3 + 3 * i
         if step.added != (n, n + 1, n + 2):
             raise InvalidStepError(
                 f"step {i}: expected new labels {(n, n + 1, n + 2)}, got {step.added}"
             )
         if not (0 <= step.u < n):
             raise InvalidStepError(f"step {i}: vertex {step.u} outside 0..{n - 1}")
-        try:
-            t = grow(t, step.u)
-        except InvalidStepError as exc:
-            raise InvalidStepError(f"step {i}: {exc}") from None
-        if check_stability and not stability_report(t).stable:
+        if step.u not in forced:
+            raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
+        edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
+        forced.update((n, n + 2))
+        if check_stability and not stability_report(Tree(Graph(n + 3, edges))).stable:
             raise InvalidStepError(f"step {i}: intermediate tree is not stable")
-    return t
+    return Tree(Graph(c.order, edges))
+
+
+def random_certificate(steps: int, rng: random.Random) -> Certificate:
+    """A random walk from P3 that draws each anchor from the carried forced-zero list."""
+    forced = [0, 2]
+    walk = []
+    for n in range(3, 3 + 3 * steps, 3):
+        walk.append(Step(u=rng.choice(forced), added=(n, n + 1, n + 2)))
+        forced += (n, n + 2)
+    return Certificate(steps=tuple(walk))
 
 
 def serialize_certificate(c: Certificate) -> str:
@@ -128,49 +149,39 @@ def recognize(t: Tree) -> RecognitionResult:
     has one), accept the 3-vertex base, and otherwise require diameter at
     least 4, degree 2 on the second and third vertices of the deterministic
     longest path, and a forced-zero anchor after removing that 3-chain.
-    Each of the n/3 peels costs one longest-path search and one O(n)
-    forced-zero pass, so recognition is O(n^2).
+    One forced-zero pass on the input serves every peel (each peeled tree's
+    set is the input's, restricted), but each of the n/3 peels still pays a
+    longest-path search and an O(n) deletion, so recognition is O(n^2).
     """
     if t.n % 3 != 0:
         return RecognitionResult(False, None, "order not a multiple of 3")
-    peels: list[tuple[tuple[int, int, int], int, tuple[int, ...]]] = []
+    forced = forced_zero_set(t) if t.n > 3 else frozenset()
+    labels = list(range(t.n))  # current label -> input label
+    peels: list[tuple[int, int, int, int]] = []  # (x1, x2, x3, x4), input labels
     current = t
     while current.n > 3:
         path = longest_path(current)
         if len(path) < 5:
             return RecognitionResult(False, None, "diameter below 4")
-        x1, x2, x3, x4 = path[0], path[1], path[2], path[3]
+        x1, x2, x3, x4 = path[:4]
         if current.degree(x2) != 2:
             return RecognitionResult(False, None, "second path vertex degree is not 2")
         if current.degree(x3) != 2:
             return RecognitionResult(False, None, "third path vertex degree is not 2")
-        peeled_graph, old_to_new = delete_vertices(current.graph, (x1, x2, x3))
-        smaller = Tree._wrap(peeled_graph)
-        anchor = old_to_new[x4]
-        if anchor not in forced_zero_set(smaller):
+        if labels[x4] not in forced:
             return RecognitionResult(False, None, "anchor is not forced-zero after peeling")
-        peels.append(((x1, x2, x3), x4, old_to_new))
-        current = smaller
-    # Rebuild in construction coordinates, tracking the isomorphism from the
-    # peeled snapshots into the replayed tree.
-    base = current
-    center = next(v for v in range(3) if base.degree(v) == 2)
-    leaves = sorted(v for v in range(3) if v != center)
-    iso = {center: 1, leaves[0]: 0, leaves[1]: 2}
+        peels.append((labels[x1], labels[x2], labels[x3], labels[x4]))
+        current = Tree._wrap(delete_vertices(current.graph, (x1, x2, x3))[0])
+        # deletion keeps the survivors' relative order
+        labels = [x for v, x in enumerate(labels) if v not in (x1, x2, x3)]
+    # iso maps input labels to construction labels
+    center = next(v for v in range(3) if current.degree(v) == 2)
+    leaves = sorted(labels[v] for v in range(3) if v != center)
+    iso = {labels[center]: 1, leaves[0]: 0, leaves[1]: 2}
     steps: list[Step] = []
-    size = 3
-    for (x1, x2, x3), x4, old_to_new in reversed(peels):
-        new_iso = {
-            old: iso[old_to_new[old]]
-            for old in range(len(old_to_new))
-            if old_to_new[old] >= 0
-        }
-        steps.append(Step(u=iso[old_to_new[x4]], added=(size, size + 1, size + 2)))
-        new_iso[x3] = size
-        new_iso[x2] = size + 1
-        new_iso[x1] = size + 2
-        iso = new_iso
-        size += 3
+    for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):
+        steps.append(Step(u=iso[x4], added=(size, size + 1, size + 2)))
+        iso.update({x3: size, x2: size + 1, x1: size + 2})
     return RecognitionResult(True, Certificate(steps=tuple(steps)), None)
 
 
@@ -197,28 +208,28 @@ def enumerate_family(n: int) -> FamilyIndex:
 
     Levels step by 3 from the base path; each level attaches at every
     forced-zero vertex of every member and deduplicates by canonical form.
+    Each member carries its sorted forced-zero list from the walk.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"family orders are positive multiples of 3, got {n}")
     if n > FAMILY_MAX_N:
         raise SizeLimitError(f"family enumeration capped at n={FAMILY_MAX_N}, got {n}")
     base = make_path(3)
-    level: dict[CanonicalForm, tuple[Tree, Certificate]] = {
-        canonical_form(base): (base, Certificate(steps=()))
+    level: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {
+        canonical_form(base): (base, Certificate(steps=()), [0, 2])
     }
-    size = 3
-    while size < n:
-        nxt: dict[CanonicalForm, tuple[Tree, Certificate]] = {}
+    for size in range(3, n, 3):
+        nxt: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {}
         for key in sorted(level):
-            tree, cert = level[key]
-            for u in sorted(forced_zero_set(tree)):
+            tree, cert, forced = level[key]
+            for u in forced:
                 grown = attach_pendant_path(tree, u, 3)
                 grown_key = canonical_form(grown)
                 if grown_key not in nxt:
                     step = Step(u=u, added=(size, size + 1, size + 2))
-                    nxt[grown_key] = (grown, Certificate(steps=cert.steps + (step,)))
+                    grown_forced = forced + [size, size + 2]
+                    nxt[grown_key] = (grown, Certificate(cert.steps + (step,)), grown_forced)
         level = nxt
-        size += 3
     return FamilyIndex(order=n, members={k: level[k][1] for k in sorted(level)})
 
 

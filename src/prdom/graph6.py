@@ -8,7 +8,7 @@ zero-padded; every payload byte is an ASCII character in 63..126.
 
 from __future__ import annotations
 
-from .graphs import Graph, ParseError
+from .graphs import Graph, ParseError, SizeLimitError
 
 GRAPH6_MAX_N = 258047
 
@@ -17,7 +17,7 @@ def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 token (no trailing newline)."""
     n = g.n
     if n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 supported here only up to n={GRAPH6_MAX_N}")
+        raise SizeLimitError(f"graph6 supported here only up to n={GRAPH6_MAX_N}")
     out = bytearray()
     if n < 63:
         out.append(n + 63)

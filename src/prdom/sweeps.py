@@ -69,12 +69,12 @@ def characterization_sweep(max_n: int) -> CharacterizationResult:
         )
     result = CharacterizationResult(max_n=max_n)
     for n in range(3, max_n + 1):
-        family_keys = enumerate_family(n).members.keys() if n % 3 == 0 else frozenset()
+        family_keys = enumerate_family(n).members.keys() if n % 3 == 0 else None
         stable_count = 0
         for t in enumerate_free_trees(n):
             stable = stability_report(t).stable
             rec = recognize(t)
-            member = canonical_form(t) in family_keys
+            member = family_keys is not None and canonical_form(t) in family_keys
             result.trees_checked += 1
             if not (stable == rec.accepted == member):
                 result.mismatches.append(
@@ -126,9 +126,7 @@ class AttachmentDeltaResult:
 
 def _stable_trees_up_to(max_n: int) -> list[Tree]:
     out = []
-    for n in range(3, max_n + 1):
-        if n % 3 != 0:
-            continue
+    for n in range(3, max_n + 1, 3):
         for t in enumerate_free_trees(n):
             if stability_report(t).stable:
                 out.append(t)

@@ -1,12 +1,20 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
+import pytest
+
 import prdom.cli as cli
 from prdom import (
+    Certificate,
+    Step,
     Tree,
     canonical_form,
+    emit_graph6,
+    forced_zero_set,
+    grow,
     make_path,
     parse_certificate,
     parse_graph6,
@@ -216,6 +224,24 @@ def test_generate_is_seed_reproducible(monkeypatch, capsys):
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_generate_matches_the_recomputing_walk(seed, monkeypatch, capsys):
+    # the walk that recomputed the forced-zero set at every step; a k-step
+    # walk draws the first k choices, so one 60-step walk gives every prefix
+    rng = random.Random(seed)
+    t = make_path(3)
+    expected = [emit_graph6(t.graph)]
+    for _ in range(60):
+        t = grow(t, rng.choice(sorted(forced_zero_set(t))))
+        expected.append(emit_graph6(t.graph))
+    for k, g6 in enumerate(expected):
+        code, out, _ = run_cli(
+            ["generate", "--steps", str(k), "--seed", str(seed)], "", monkeypatch, capsys
+        )
+        assert code == 0
+        assert out == g6.decode("ascii") + "\n"
+
+
 def test_generate_all_six(monkeypatch, capsys):
     code, out, _ = run_cli(["generate", "--all", "6"], "", monkeypatch, capsys)
     assert code == 0
@@ -339,12 +365,51 @@ def test_verify_property_failure_exit_code(monkeypatch, capsys):
 
 
 def test_generate_internal_breach_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "forced_zero_set", lambda t: frozenset())
+    # a walk that attaches at the base path's centre, which is never forced-zero
+    monkeypatch.setattr(
+        cli, "random_certificate", lambda steps, rng: Certificate((Step(1, (3, 4, 5)),))
+    )
     code, _, err = run_cli(
         ["generate", "--steps", "1"], "", monkeypatch, capsys
     )
     assert code == 4
     assert "invariant" in err
+
+
+def test_generate_steps_past_the_graph6_cap_exit_code(monkeypatch, capsys):
+    # 3 + 3 * 86015 = 258048 vertices, one past GRAPH6_MAX_N; refused before the walk
+    def no_walk(steps, rng):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(cli, "random_certificate", no_walk)
+    code, out, err = run_cli(["generate", "--steps", "86015"], "", monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "prdom: size limit: --steps 86015 builds more than the graph6 cap of 258047 vertices\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("suite", "max_n"), [("theorem", "2"), ("lemmas", "0"), ("observation", "1"), ("all", "-3")]
+)
+def test_verify_max_n_below_three_is_a_usage_error(suite, max_n, monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", suite, "--max-n", max_n], "", monkeypatch, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"prdom: --max-n must be at least 3, got {max_n}\n"
+
+
+def test_verify_certificate_ignores_max_n(tmp_path, monkeypatch, capsys):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("P3\n0: 3 4 5\n")
+    code, out, _ = run_cli(
+        ["verify", "--certificate", str(cert_path), "--max-n", "-3"], "", monkeypatch, capsys
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["valid"] is True
 
 
 def test_missing_input_file(monkeypatch, capsys):

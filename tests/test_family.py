@@ -1,19 +1,33 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prdom
+import prdom.cli as cli
+import prdom.family as family
+import prdom.solver as solver
+import prdom.sweeps as sweeps
+from conftest import labeled_trees
 from prdom import (
     Certificate,
+    FamilyIndex,
+    Graph,
     InvalidStepError,
     SizeLimitError,
     Step,
+    Tree,
+    attach_pendant_path,
     canonical_form,
     check_stable_profile,
+    delete_vertices,
     diameter,
     enumerate_family,
     enumerate_free_trees,
     forced_zero_set,
     grow,
+    longest_path,
     make_double_star,
     make_path,
     make_star,
@@ -24,6 +38,7 @@ from prdom import (
     serialize_certificate,
     stability_report,
 )
+from prdom.family import random_certificate
 
 
 def test_grow_p3_at_leaf_gives_p6():
@@ -190,3 +205,152 @@ def test_random_walks_stay_in_the_family():
     assert r.accepted
     rebuilt = replay_certificate(r.certificate, check_stability=False)
     assert canonical_form(rebuilt) == canonical_form(t)
+
+
+def _check_pendant_p3_invariance(t):
+    before = forced_zero_set(t)
+    for u in range(t.n):
+        after = forced_zero_set(attach_pendant_path(t, u, 3))
+        assert {v for v in after if v < t.n} == before
+        if u in before:
+            assert after == before | {t.n, t.n + 2}
+
+
+def test_pendant_p3_invariance_exhaustively():
+    # hanging v3-v2-v1 off any u keeps the forced-zero set on the old
+    # vertices, and off a forced-zero u it adds exactly v3 and v1
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            _check_pendant_p3_invariance(t)
+
+
+@given(labeled_trees(max_n=60))
+@settings(max_examples=100, deadline=None)
+def test_pendant_p3_invariance_on_random_trees(t):
+    _check_pendant_p3_invariance(t)
+
+
+def _recognize_per_peel(t):
+    """The recognizer with a fresh forced-zero pass on every peeled tree and
+    the isomorphism rebuilt from each relabelled snapshot: the oracle for the
+    carried set."""
+    if t.n % 3 != 0:
+        return (False, None, "order not a multiple of 3")
+    peels = []
+    current = t
+    while current.n > 3:
+        path = longest_path(current)
+        if len(path) < 5:
+            return (False, None, "diameter below 4")
+        x1, x2, x3, x4 = path[:4]
+        if current.degree(x2) != 2:
+            return (False, None, "second path vertex degree is not 2")
+        if current.degree(x3) != 2:
+            return (False, None, "third path vertex degree is not 2")
+        peeled_graph, old_to_new = delete_vertices(current.graph, (x1, x2, x3))
+        smaller = Tree(peeled_graph)
+        if old_to_new[x4] not in forced_zero_set(smaller):
+            return (False, None, "anchor is not forced-zero after peeling")
+        peels.append(((x1, x2, x3), x4, old_to_new))
+        current = smaller
+    center = next(v for v in range(3) if current.degree(v) == 2)
+    leaves = sorted(v for v in range(3) if v != center)
+    iso = {center: 1, leaves[0]: 0, leaves[1]: 2}
+    steps = []
+    size = 3
+    for (x1, x2, x3), x4, old_to_new in reversed(peels):
+        new_iso = {old: iso[new] for old, new in enumerate(old_to_new) if new >= 0}
+        steps.append(Step(u=iso[old_to_new[x4]], added=(size, size + 1, size + 2)))
+        new_iso.update({x3: size, x2: size + 1, x1: size + 2})
+        iso = new_iso
+        size += 3
+    return (True, Certificate(steps=tuple(steps)), None)
+
+
+def test_recognize_matches_the_per_peel_oracle_exhaustively():
+    for n in range(1, 16):
+        for t in enumerate_free_trees(n):
+            assert tuple(recognize(t)) == _recognize_per_peel(t)
+
+
+@st.composite
+def shuffled_members(draw, max_steps=30):
+    cert = random_certificate(
+        draw(st.integers(0, max_steps)), random.Random(draw(st.integers(0, 2**32)))
+    )
+    t = replay_certificate(cert, check_stability=False)
+    perm = draw(st.permutations(range(t.n)))
+    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+
+
+@given(shuffled_members())
+@settings(max_examples=100, deadline=None)
+def test_recognize_matches_the_oracle_on_shuffled_members(t):
+    result = recognize(t)
+    assert result.accepted
+    assert tuple(result) == _recognize_per_peel(t)
+
+
+@given(labeled_trees(min_n=3, max_n=45))
+@settings(max_examples=100, deadline=None)
+def test_recognize_matches_the_oracle_on_random_trees(t):
+    assert tuple(recognize(t)) == _recognize_per_peel(t)
+
+
+def _family_closure_oracle(n):
+    """enumerate_family with a fresh forced-zero pass on every member."""
+    base = make_path(3)
+    level = {canonical_form(base): (base, Certificate(steps=()))}
+    for size in range(3, n, 3):
+        nxt = {}
+        for key in sorted(level):
+            tree, cert = level[key]
+            for u in sorted(forced_zero_set(tree)):
+                grown = attach_pendant_path(tree, u, 3)
+                step = Step(u=u, added=(size, size + 1, size + 2))
+                nxt.setdefault(canonical_form(grown), (grown, Certificate(cert.steps + (step,))))
+        level = nxt
+    return FamilyIndex(order=n, members={k: level[k][1] for k in sorted(level)})
+
+
+def test_enumerate_family_matches_the_recomputing_closure():
+    for n in range(3, 19, 3):
+        fam, oracle = enumerate_family(n), _family_closure_oracle(n)
+        assert fam == oracle
+        assert list(fam.members.items()) == list(oracle.members.items())
+
+
+@pytest.fixture
+def forced_zero_calls(monkeypatch):
+    """Records the order of every forced_zero_set call, under every name it is
+    imported as."""
+    calls = []
+    original = solver.forced_zero_set
+
+    def counting(x):
+        calls.append(x.n)
+        return original(x)
+
+    for module in (prdom, solver, family, cli, sweeps):
+        monkeypatch.setattr(module, "forced_zero_set", counting)
+    return calls
+
+
+def test_one_forced_zero_pass_per_recognize(forced_zero_calls):
+    for steps, seed in ((1, 0), (5, 1), (30, 2)):
+        t = replay_certificate(random_certificate(steps, random.Random(seed)))
+        forced_zero_calls.clear()
+        assert recognize(t).accepted
+        assert forced_zero_calls == [t.n]
+    forced_zero_calls.clear()
+    assert not recognize(make_double_star(4, 3)).accepted  # n = 9
+    assert forced_zero_calls == [9]
+
+
+def test_no_forced_zero_pass_in_the_construction_walks(forced_zero_calls, capsys):
+    assert cli.main(["generate", "--steps", "60", "--seed", "5"]) == 0
+    assert cli.main(["generate", "--all", "18"]) == 0
+    capsys.readouterr()
+    replay_certificate(random_certificate(20, random.Random(9)))
+    enumerate_family(18)
+    assert forced_zero_calls == []

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 
 from conftest import labeled_trees
 from prdom import (
+    GRAPH6_MAX_N,
     Graph,
     ParseError,
+    SizeLimitError,
     emit_graph6,
     enumerate_free_trees,
     make_path,
@@ -60,6 +62,12 @@ def test_large_size_field():
     assert enc[0] == 126  # '~' long-size marker
     assert parse_graph6(enc) == g
     assert enc == _nx_encode(g)
+
+
+def test_emit_past_the_size_cap_is_a_size_limit():
+    # SizeLimitError is a ValueError, so callers that caught ValueError still do
+    with pytest.raises(SizeLimitError, match=f"n={GRAPH6_MAX_N}"):
+        emit_graph6(Graph(GRAPH6_MAX_N + 1, []))
 
 
 @pytest.mark.parametrize(
