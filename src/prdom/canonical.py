@@ -5,13 +5,17 @@ component is rooted at its centroid; with two centroids the central edge is
 cut and both orientations of the pair encoding are tried, keeping the
 smaller. The rooted encoding is the balanced-parenthesis form, children in
 the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
-forest is encoded in place: one ``rooted_order`` walk finds the centroids, a
-second roots every component there, and each level is ranked over all
-components at once: O(n log n), without recursion or relabelling.
+forest is encoded in place: the graph's shared ``walk`` finds the
+centroids, one ``rooted_order`` walk roots every component there, and each
+level is ranked over all components at once, bottom-up. Ranking a level
+pushes each vertex's code up to its parent, so the level above reads its
+keys from those codes without scanning the adjacency again: O(n log n),
+without recursion or relabelling.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 
 from .graphs import Forest, Tree, rooted_order
@@ -19,12 +23,12 @@ from .graphs import Forest, Tree, rooted_order
 CanonicalForm = bytes
 
 
-def _centroids(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Each component's one or two centroids, ascending; components in order
-    of their smallest vertex."""
-    order, parent = rooted_order(adj)
-    size = [1] * len(adj)
-    widest = [0] * len(adj)  # largest child-subtree size
+def _centroids(order: Sequence[int], parent: Sequence[int]) -> list[list[int]]:
+    """Each component's one or two centroids, ascending, from a walk that
+    roots every component at its smallest vertex (``Graph.walk``);
+    components in order of their smallest vertex."""
+    size = [1] * len(order)
+    widest = [0] * len(order)  # largest child-subtree size
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
@@ -45,7 +49,7 @@ def _centroids(adj: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component of T - v."""
-    return tuple(_centroids(t.adjacency)[0])
+    return tuple(_centroids(*t.walk)[0])
 
 
 def _parenthesize(table: list[tuple[int, ...]], code: int) -> bytes:
@@ -67,7 +71,7 @@ def canonical_forms(x: Tree | Forest) -> list[CanonicalForm]:
     """One relabeling-invariant form per component, in order of each
     component's smallest vertex: equal forms iff isomorphic components."""
     adj = x.adjacency
-    cents = _centroids(adj)
+    cents = _centroids(*x.walk)
     order, parent = rooted_order(adj, [cs[0] for cs in cents])
     for cs in cents:
         if len(cs) == 2:
@@ -82,14 +86,20 @@ def canonical_forms(x: Tree | Forest) -> list[CanonicalForm]:
         levels[d].append(v)
     # Isomorphic subtrees share a code c; table[c] holds its sorted child
     # codes, which alone rank the level, so one ranking serves every tree.
+    # pushed[v] collects the codes of v's children as their level is ranked.
     table: list[tuple[int, ...]] = []
+    pushed: defaultdict[int, list[int]] = defaultdict(list)
     for level in reversed(levels):
-        keys = [tuple(sorted([code[u] for u in adj[v] if parent[u] == v])) for v in level]
+        keys = [tuple(sorted(pushed[v])) if v in pushed else () for v in level]
         distinct = sorted(set(keys))
         rank = {key: c for c, key in enumerate(distinct, len(table))}
         table += distinct
+        pushed = defaultdict(list)
         for v, key in zip(level, keys):
-            code[v] = rank[key]
+            c = code[v] = rank[key]
+            p = parent[v]
+            if p >= 0:
+                pushed[p].append(c)
     forms = []
     for cs in cents:
         # no encoding is a prefix of another, so sorted halves give the

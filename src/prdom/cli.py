@@ -59,10 +59,11 @@ class _UsageError(ValueError):
     pass
 
 
-def _read_text(args: argparse.Namespace) -> str:
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of a file, or of stdin when ``path`` is empty."""
     try:
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
         if isinstance(sys.stdin, io.TextIOWrapper):
             # UTF-8 mode and the C locale read stdin with surrogateescape,
@@ -76,7 +77,7 @@ def _read_text(args: argparse.Namespace) -> str:
 
 
 def _parse_input(args: argparse.Namespace) -> Graph:
-    text = _read_text(args)
+    text = _read_text(args.input)
     if args.format == "graph6":
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
@@ -216,8 +217,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_certificate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.certificate)
     result: dict = {"certificate_path": args.certificate}
     matches = None
     try:

@@ -2,8 +2,15 @@
 
 Vertices are always the integers 0..n-1. Adjacency is kept as a tuple of
 sorted tuples, which makes every structure hashable-by-content, cheap to
-share between operations, and safe to read from multiple threads. Nothing
-in this module mutates a graph after construction.
+share between operations, and safe to read from multiple threads.
+
+Each graph also carries its default walk, ``Graph.walk``: the
+``rooted_order`` of the adjacency with every component rooted at its
+smallest vertex, as two tuples. ``Tree`` and ``Forest`` fill it while they
+validate; the DP tables, the rerooting pass and the centroid search read
+it instead of walking the graph again. Filling that cache is the only
+change this module makes to a graph after construction, and it depends on
+the adjacency alone.
 """
 
 from __future__ import annotations
@@ -29,11 +36,14 @@ class SizeLimitError(ValueError):
 # parse_edge_list checks n against this before it allocates per-vertex lists
 EDGE_LIST_MAX_N = 10_000_000
 
+# (order, parent) of a rooted_order walk, frozen so that one can be shared
+Walk = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "adjacency")
+    __slots__ = ("n", "adjacency", "_walk")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -53,6 +63,7 @@ class Graph:
                     raise ValueError(f"duplicate edge ({u}, {nbrs[i]})")
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
+        self._walk: Walk | None = None
 
     @classmethod
     def _from_adjacency(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -60,6 +71,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adjacency = adjacency
+        g._walk = None
         return g
 
     @classmethod
@@ -76,7 +88,15 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
+
+    @property
+    def walk(self) -> Walk:
+        """``rooted_order(adjacency)`` as (order, parent) tuples, computed once."""
+        if self._walk is None:
+            order, parent = rooted_order(self.adjacency)
+            self._walk = (tuple(order), tuple(parent))
+        return self._walk
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -110,8 +130,7 @@ class Tree:
             raise ValueError("a tree needs at least one vertex")
         if graph.m != n - 1:
             raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {graph.m}")
-        _, parent = rooted_order(graph.adjacency)
-        if parent.count(-1) != 1:
+        if graph.walk[1].count(-1) != 1:
             raise ValueError("graph is not connected")
         self.graph = graph
 
@@ -130,6 +149,10 @@ class Tree:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self.graph.adjacency
 
+    @property
+    def walk(self) -> Walk:
+        return self.graph.walk
+
     def degree(self, v: int) -> int:
         return self.graph.degree(v)
 
@@ -146,36 +169,37 @@ class Tree:
 
 
 class Forest:
-    """A graph whose every component is a tree, plus the component partition.
+    """A graph whose every component is a tree.
 
-    ``component`` maps each vertex to its component id; components are
-    numbered 0, 1, ... by their smallest vertex label.
+    The check counts: a graph is a forest exactly when m = n - c, where c
+    is the number of components, the roots of its walk. Components are
+    numbered 0, 1, ... by their smallest vertex label; ``component`` maps
+    each vertex to its component id and is built on first use.
     """
 
-    __slots__ = ("graph", "component", "ncomponents")
+    __slots__ = ("graph", "ncomponents", "_component")
 
     def __init__(self, graph: Graph):
-        adj = graph.adjacency
-        order, parent = rooted_order(adj)
-        comp = [0] * graph.n
-        roots: list[int] = []
-        # degree sum minus 2(size - 1) per component: 0 exactly when acyclic
-        surplus: list[int] = []
-        for v in order:
-            p = parent[v]
-            if p < 0:
-                comp[v] = len(roots)
-                roots.append(v)
-                surplus.append(len(adj[v]))
-            else:
-                c = comp[v] = comp[p]
+        order, parent = graph.walk
+        roots = parent.count(-1)
+        if graph.m != graph.n - roots:
+            # name the first component whose degree sum exceeds 2(size - 1)
+            adj = graph.adjacency
+            surplus = [2] * roots
+            for v, c in enumerate(_component_ids(order, parent)):
                 surplus[c] += len(adj[v]) - 2
-        for s, extra in zip(roots, surplus):
-            if extra:
-                raise ValueError(f"component containing vertex {s} has a cycle")
+            heads = [v for v in order if parent[v] < 0]
+            s = next(h for h, extra in zip(heads, surplus) if extra)
+            raise ValueError(f"component containing vertex {s} has a cycle")
         self.graph = graph
-        self.component = tuple(comp)
-        self.ncomponents = len(roots)
+        self.ncomponents = roots
+        self._component: tuple[int, ...] | None = None
+
+    @property
+    def component(self) -> tuple[int, ...]:
+        if self._component is None:
+            self._component = tuple(_component_ids(*self.graph.walk))
+        return self._component
 
     @property
     def n(self) -> int:
@@ -185,6 +209,10 @@ class Forest:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self.graph.adjacency
 
+    @property
+    def walk(self) -> Walk:
+        return self.graph.walk
+
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.
 
@@ -192,8 +220,8 @@ class Forest:
         the tree's vertex i.
         """
         buckets: list[list[int]] = [[] for _ in range(self.ncomponents)]
-        for v in range(self.n):
-            buckets[self.component[v]].append(v)
+        for v, c in enumerate(self.component):
+            buckets[c].append(v)
         out = []
         for verts in buckets:
             index = {old: new for new, old in enumerate(verts)}
@@ -235,6 +263,20 @@ def rooted_order(
                     component.append(u)
         order += component
     return order, parent
+
+
+def _component_ids(order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """Component id of every vertex: roots are numbered in walk order."""
+    comp = [0] * len(order)
+    k = -1
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            k += 1
+            comp[v] = k
+        else:
+            comp[v] = comp[p]
+    return comp
 
 
 def parse_edge_list(data: bytes | str) -> Graph:

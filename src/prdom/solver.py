@@ -21,9 +21,14 @@ Admissible child states given the vertex state:
 
 State costs are 0, 0, 1, 2 plus the children minima; state A is the usual
 "sum of min(A, C) plus the cheapest swap of one child to D". At a root only
-A, C, D are valid. One table covers a whole forest: a single walk roots
-every component (at its smallest vertex by default), and the number is
-the sum, over the component roots, of the best root state. The
+A, C, D are valid. One table covers a whole forest and is filled bottom-up
+along a walk (``graphs.rooted_order``): by default the graph's own
+``walk``, which roots every component at its smallest vertex and which
+``Tree`` and ``Forest`` already made while validating, so the solvers do
+not walk the graph again. The number is the sum, over the component
+roots, of the best root state. A witness is read back top-down along the
+same walk: each vertex's state follows from its parent's state and its own
+four costs, with state A's D-child found in one pass beforehand. The
 exponential routes (a literal scan of all 3^n labelings, and a scan over
 all 2^n placements of the 2s with the forced minimal completion) exist as
 independent ground truth for small graphs.
@@ -84,16 +89,15 @@ def is_valid_prdf(g: Graph | Tree | Forest, values: Sequence[int]) -> bool:
 class StateTable:
     """Per-vertex costs of the four root-directed states, over a forest.
 
-    ``order`` and ``parent`` come from ``rooted_order(adj, (root,))``, so
-    ``root``'s component is rooted at ``root`` and every other component at
-    its smallest vertex. Costs at or above INFEASIBLE mean the state cannot
-    be completed (a leaf cannot be satisfied from below, so its A entry is
-    always INFEASIBLE).
+    ``order`` and ``parent`` are the walk the table was filled along, as
+    given to ``_tables`` and not copied: usually the graph's shared
+    ``walk``, so neither may be changed. Costs at or above INFEASIBLE mean
+    the state cannot be completed (a leaf cannot be satisfied from below,
+    so its A entry is always INFEASIBLE).
     """
 
-    root: int
-    order: list[int]
-    parent: list[int]
+    order: Sequence[int]
+    parent: Sequence[int]
     a: list[int]
     b: list[int]
     c: list[int]
@@ -105,10 +109,14 @@ class StateTable:
         return [v for v, p in enumerate(self.parent) if p < 0]
 
 
-def _tables(adj: _Adjacency, root: int = 0) -> StateTable:
-    """Run the DP over every component, keeping all states; see StateTable."""
-    n = len(adj)
-    order, parent = rooted_order(adj, (root,) if n else ())
+def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
+    """Run the DP bottom-up along a walk of a forest, keeping all states.
+
+    The walk is a ``rooted_order`` result, read but never written; the
+    adjacency itself is not needed, since the parent array names every
+    edge. See StateTable.
+    """
+    n = len(order)
     # Until the walk reaches v, b[v] sums min(A, C) over v's finished
     # children, a[v] holds their cheapest swap to D, c[v] sums min(A, C, D)
     # and d[v] sums min(B, C, D); reaching v turns them into v's own costs.
@@ -134,7 +142,7 @@ def _tables(adj: _Adjacency, root: int = 0) -> StateTable:
                 mbcd = dv
             d[p] += mbcd
             c[p] += mac if mac < dv else dv
-    return StateTable(root=root, order=order, parent=parent, a=a, b=b, c=c, d=d)
+    return StateTable(order=order, parent=parent, a=a, b=b, c=c, d=d)
 
 
 class _RootCosts(NamedTuple):
@@ -155,10 +163,10 @@ class _RootCosts(NamedTuple):
         return min(self.a[0], self.c[0], self.d[0])
 
 
-def _all_roots(adj: _Adjacency) -> _RootCosts:
+def _all_roots(x: Tree | Forest) -> _RootCosts:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
-    The down tables of ``_tables(adj, 0)`` give each vertex's side below
+    The down tables along the graph's walk give each vertex's side below
     its parent. One top-down pass adds the side above: for a vertex u with
     parent p, the four states of p with u's subtree cut away. The sums over
     a vertex's neighbours drop one neighbour by subtraction; the A state's
@@ -168,8 +176,9 @@ def _all_roots(adj: _Adjacency) -> _RootCosts:
     number of T - v, whose components are exactly those sides. On a forest
     every cost is that of the vertex's own component.
     """
+    adj = x.adjacency
     n = len(adj)
-    table = _tables(adj, 0)
+    table = _tables(*x.walk)
     parent = table.parent
     # What each side contributes to the vertex it hangs from, as in _tables:
     # min(A, C), min(A, C, D), min(B, C, D) and the swap D - min(A, C).
@@ -233,80 +242,59 @@ def _all_roots(adj: _Adjacency) -> _RootCosts:
 
 def prd_number(x: Tree | Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    table = _tables(x.adjacency)
+    table = _tables(*x.walk)
     a, c, d = table.a, table.c, table.d
     return sum(min(a[v], c[v], d[v]) for v in table.roots)
 
 
-def _reconstruct(
-    table: StateTable, adj: _Adjacency, root: int, root_state: str, values: list[int]
-) -> None:
-    """Walk the table back into labels for ``root``'s component, deterministically.
-
-    Ties prefer the earlier state letter, then the lower child label (the
-    adjacency order is ascending, so first-found wins).
-    """
-    a, b, c, d = table.a, table.b, table.c, table.d
-    parent = table.parent
-    stack = [(root, root_state)]
-    while stack:
-        v, state = stack.pop()
-        children = [u for u in adj[v] if parent[u] == v]
-        if state == "A":
-            values[v] = 0
-            best = None
-            for u in children:
-                mac = a[u] if a[u] < c[u] else c[u]
-                delta = d[u] - mac
-                if best is None or delta < best[0]:
-                    best = (delta, u)
-            chosen = best[1]
-            for u in children:
-                if u == chosen:
-                    stack.append((u, "D"))
-                else:
-                    stack.append((u, "A" if a[u] <= c[u] else "C"))
-        elif state == "B":
-            values[v] = 0
-            for u in children:
-                stack.append((u, "A" if a[u] <= c[u] else "C"))
-        elif state == "C":
-            values[v] = 1
-            for u in children:
-                if a[u] <= c[u] and a[u] <= d[u]:
-                    stack.append((u, "A"))
-                elif c[u] <= d[u]:
-                    stack.append((u, "C"))
-                else:
-                    stack.append((u, "D"))
-        else:
-            values[v] = 2
-            for u in children:
-                if b[u] <= c[u] and b[u] <= d[u]:
-                    stack.append((u, "B"))
-                elif c[u] <= d[u]:
-                    stack.append((u, "C"))
-                else:
-                    stack.append((u, "D"))
+# the label each state gives its vertex: A and B 0, C 1, D 2
+_STATE_LABEL = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((0, 0, 1, 2)))
 
 
 def optimal_assignment(x: Tree | Forest) -> Assignment:
     """One minimum-weight PRDF of a tree or forest, from one DP table. O(n).
 
     The labels of each component are an optimum of that component alone.
-    Deterministic: each component is rooted at its smallest vertex and ties
-    break toward the earlier state letter, then the lower child label.
+    Two flat passes read the table back. The first, over all vertices,
+    records the D-child each vertex takes in state A: the child with the
+    cheapest swap to D. The second runs top-down along the walk and picks
+    each vertex's state from its parent's state, a root's as if its parent
+    were in state C. Deterministic: each component is rooted at its
+    smallest vertex, and ties break toward the earlier state letter, then
+    the lower child label.
     """
-    adj = x.adjacency
-    table = _tables(adj)
-    values = [0] * len(adj)
-    for root in table.roots:
-        best = None
-        for state, cost in (("A", table.a[root]), ("C", table.c[root]), ("D", table.d[root])):
-            if best is None or cost < best[1]:
-                best = (state, cost)
-        _reconstruct(table, adj, root, best[0], values)
-    return Assignment(tuple(values))
+    table = _tables(*x.walk)
+    a, b, c, d = table.a, table.b, table.c, table.d
+    parent = table.parent
+    n = len(parent)
+    swap = [INFEASIBLE] * n
+    d_child = [-1] * n
+    for u, p in enumerate(parent):
+        if p >= 0:
+            au, cu = a[u], c[u]
+            delta = d[u] - (au if au < cu else cu)
+            if delta < swap[p]:
+                swap[p] = delta
+                d_child[p] = u
+    state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D
+    for v in table.order:
+        p = parent[v]
+        above = state[p] if p >= 0 else 2
+        av, cv = a[v], c[v]
+        if above == 0 and d_child[p] == v:
+            state[v] = 3
+        elif above <= 1:
+            state[v] = 0 if av <= cv else 2
+        else:
+            dv = d[v]
+            low = b[v] if above == 3 else av
+            if low <= cv and low <= dv:
+                state[v] = above - 2  # B under D, A under C
+            elif cv <= dv:
+                state[v] = 2
+            else:
+                state[v] = 3
+    return Assignment(tuple(state.translate(_STATE_LABEL)))
 
 
 def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
@@ -323,7 +311,7 @@ def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
         raise ValueError(f"labels must lie in {{0, 1, 2}}, got {sorted(wanted)}")
     if not (0 <= v < t.n):
         raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-    table = _tables(t.adjacency, v)
+    table = _tables(*rooted_order(t.adjacency, (v,)))
     best = INFEASIBLE
     if 0 in wanted and table.a[v] < best:
         best = table.a[v]
@@ -342,7 +330,7 @@ def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
     that component rooted at the vertex (on a tree, min(C, D) > gamma). One
     rerooting pass gives every root, O(n) total.
     """
-    costs = _all_roots(x.adjacency)
+    costs = _all_roots(x)
     return frozenset(
         v
         for v, (av, cv, dv) in enumerate(zip(costs.a, costs.c, costs.d))

@@ -34,7 +34,7 @@ class StabilityReport:
 
 def stability_report(t: Tree) -> StabilityReport:
     """Numbers of T and of every T - v, from one rerooting pass. O(n)."""
-    costs = _all_roots(t.adjacency)
+    costs = _all_roots(t)
     base = costs.number
     return StabilityReport(base=base, deltas=tuple(x - base for x in costs.deleted))
 

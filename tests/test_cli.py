@@ -1,12 +1,19 @@
+import contextlib
 import io
 import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prdom.canonical
 import prdom.cli as cli
+import prdom.graphs
+import prdom.solver
 from prdom import (
     Certificate,
     Step,
@@ -431,6 +438,15 @@ def test_undecodable_input_file_exit_code(tmp_path, monkeypatch, capsys):
     assert err == "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
 
 
+def test_undecodable_certificate_file_exit_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"P3\n1: 3 \xff 5\n")
+    code, out, err = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
+
+
 def test_undecodable_stdin_exit_code(monkeypatch, capsys):
     # a byte stream read the way UTF-8 mode reads stdin, with surrogateescape
     stdin = io.TextIOWrapper(
@@ -486,3 +502,68 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
+    # the validating walk serves the DP, the witness and the centroids;
+    # only the digest's centroid-rooted walk is a second one
+    calls = []
+    walk = prdom.graphs.rooted_order
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    for module in (prdom.graphs, prdom.solver, prdom.canonical):
+        monkeypatch.setattr(module, "rooted_order", counting)
+    path = tmp_path / "forest.txt"
+    path.write_text("9\n0 1\n1 2\n3 4\n4 5\n4 6\n7 8\n")
+    code, _, _ = run_cli(["solve", "--input", str(path), "--witness"], "", monkeypatch, capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
+_FUZZ_TEXT = st.text(alphabet="0123456789 \n-:Px~?@AB_\t", max_size=40).map(str.encode)
+_SMALL = st.integers(-1, 12)
+# near-valid edge lists and certificates, to get past the first parse check
+_FUZZ_EDGES = st.builds(
+    lambda n, edges: "".join([f"{n}\n"] + [f"{u} {v}\n" for u, v in edges]).encode(),
+    _SMALL,
+    st.lists(st.tuples(_SMALL, _SMALL), max_size=14),
+)
+_FUZZ_STEPS = st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), max_size=4).map(
+    lambda steps: "".join(["P3\n"] + [f"{u}: {a} {b} {c}\n" for u, a, b, c in steps]).encode()
+)
+_FUZZ_BYTES = st.one_of(st.binary(max_size=40), _FUZZ_TEXT, _FUZZ_EDGES, _FUZZ_STEPS)
+_FUZZ_COMMANDS = [
+    ["solve", "--witness", "--wset"],
+    ["stable"],
+    ["recognize"],
+    ["solve", "--format", "graph6", "--witness"],
+    ["stable", "--format", "graph6"],
+    ["recognize", "--format", "graph6"],
+    ["verify", "--certificate"],
+]
+
+
+@given(data=_FUZZ_BYTES, command=st.sampled_from(_FUZZ_COMMANDS))
+@settings(max_examples=300, deadline=None)
+def test_raw_bytes_end_in_a_documented_exit_code(tmp_path_factory, data, command):
+    # a lower vertex cap keeps every case small; inputs past it exit 3
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "input.bin"
+    path.write_bytes(data)
+    if command[-1] == "--certificate":
+        argv = [*command, str(path)]
+    else:
+        argv = [*command, "--input", str(path)]
+    err = io.StringIO()
+    with mock.patch.object(prdom.graphs, "EDGE_LIST_MAX_N", 10_000), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--output", str(work / "report.json")])
+    assert code in (0, 1, 2, 3, 4)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    assert message.count("\n") <= 1
+    # success and a failed check report in the JSON; every other exit says why
+    assert (message == "") == (code in (0, 1))

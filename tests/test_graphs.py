@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_forests, labeled_trees
+from conftest import labeled_forests, labeled_trees, small_graphs
 import prdom
 import prdom.solver
 from prdom import (
@@ -241,3 +241,79 @@ def test_rooted_order_walks_every_component(f, data):
             expected.append(v)
     expected += sorted(set(smallest) - {smallest[r] for r in expected})
     assert roots == expected
+
+
+def _per_vertex_components(g):
+    """The component ids and first cyclic component by the per-vertex loop
+    ``Forest`` ran on every input before it checked by counting edges."""
+    adj = g.adjacency
+    order, parent = rooted_order(adj)
+    comp = [0] * g.n
+    roots, surplus = [], []
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            comp[v] = len(roots)
+            roots.append(v)
+            surplus.append(len(adj[v]))
+        else:
+            c = comp[v] = comp[p]
+            surplus[c] += len(adj[v]) - 2
+    cyclic = next((s for s, extra in zip(roots, surplus) if extra), None)
+    return tuple(comp), cyclic
+
+
+def _assert_forest_check_matches(g):
+    comp, cyclic = _per_vertex_components(g)
+    if cyclic is None:
+        f = Forest(g)
+        assert f.component == comp
+        assert f.ncomponents == len(set(comp))
+    else:
+        with pytest.raises(ValueError) as exc:
+            Forest(g)
+        assert str(exc.value) == f"component containing vertex {cyclic} has a cycle"
+
+
+@pytest.mark.parametrize(
+    "n, edges, cyclic",
+    [
+        (9, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)], 2),  # second component
+        (12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4), (8, 9), (9, 10), (10, 8)], 4),
+        (8, [(7, 6), (6, 5), (5, 7), (0, 1), (1, 2)], 5),  # cycle on the largest labels
+        (10, [(1, 2), (3, 4), (4, 9), (9, 3), (5, 6), (6, 8), (8, 5)], 3),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 0),
+    ],
+)
+def test_forest_names_the_first_cyclic_component(n, edges, cyclic):
+    with pytest.raises(ValueError, match=f"^component containing vertex {cyclic} has a cycle$"):
+        Forest(Graph(n, edges))
+    _assert_forest_check_matches(Graph(n, edges))
+
+
+@given(small_graphs(max_n=9))
+@settings(max_examples=200)
+def test_forest_check_matches_the_per_vertex_loop_on_graphs(g):
+    _assert_forest_check_matches(g)
+
+
+@given(labeled_forests(), st.data())
+@settings(max_examples=150)
+def test_forest_check_matches_the_per_vertex_loop_on_forests(f, data):
+    _assert_forest_check_matches(f.graph)
+    # each extra edge inside a component closes a cycle there
+    missing = [(u, v) for u in range(f.n) for v in range(u + 1, f.n)
+               if v not in f.adjacency[u] and f.component[u] == f.component[v]]
+    if missing:
+        extra = data.draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
+        _assert_forest_check_matches(Graph(f.n, f.graph.edges() + extra))
+
+
+def test_tree_and_forest_fill_the_shared_walk():
+    g = Graph(5, [(3, 1), (1, 4), (0, 2)])
+    assert g._walk is None
+    f = Forest(g)
+    assert g._walk is not None and f.walk is g.walk
+    assert g.walk == ((0, 2, 1, 3, 4), (-1, -1, 0, 1, 1))
+    t = Tree(Graph(3, [(0, 1), (1, 2)]))
+    assert t.graph._walk == ((0, 1, 2), (-1, 0, 1))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +11,23 @@ from prdom import (
     Forest,
     Graph,
     SizeLimitError,
+    Tree,
     brute_force,
+    canonical_forms,
     enumerate_free_trees,
     forced_zero_set,
     is_valid_prdf,
     make_double_star,
     make_path,
+    make_spider,
     make_star,
     optimal_assignment,
     prd_number,
     prd_number_forced,
     remove_vertex,
+    tree_from_prufer,
 )
+from prdom.graphs import rooted_order
 from prdom.solver import _all_roots, _brute_ternary, _brute_two_sets, _tables
 
 
@@ -210,17 +216,17 @@ def test_forced_zero_set_matches_per_vertex_route_random(t):
 @given(labeled_trees(max_n=60))
 @settings(max_examples=100, deadline=None)
 def test_all_roots_matches_a_table_per_root(t):
-    costs = _all_roots(t.adjacency)
+    costs = _all_roots(t)
     assert costs.number == prd_number(t)
     for v in range(t.n):
-        table = _tables(t.adjacency, v)
+        table = _tables(*rooted_order(t.adjacency, (v,)))
         assert (costs.a[v], costs.c[v], costs.d[v]) == (table.a[v], table.c[v], table.d[v])
         # C at the root is 1 plus the best of each component of T - v
         assert costs.c[v] == 1 + costs.deleted[v]
 
 
 def test_state_table_leaf_base_case():
-    table = _tables(make_path(4).adjacency, 0)
+    table = _tables(*make_path(4).walk)
     leaf = 3  # the far end is a leaf of the rooted tree
     assert table.a[leaf] >= INFEASIBLE
     assert table.b[leaf] == 0
@@ -231,7 +237,7 @@ def test_state_table_leaf_base_case():
 @given(labeled_trees(max_n=20))
 @settings(max_examples=100, deadline=None)
 def test_state_table_bounds(t):
-    table = _tables(t.adjacency, 0)
+    table = _tables(*t.walk)
     # subtree sizes from the parent array
     size = [1] * t.n
     for v in reversed(table.order):
@@ -292,3 +298,120 @@ def test_witness_of_many_isolated_vertices_is_all_ones():
     f = Forest(Graph(20000, []))
     assert optimal_assignment(f).values == (1,) * 20000
     assert forced_zero_set(f) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# The stack-based witness route that optimal_assignment's two flat passes
+# replaced, kept as the reference they must match element for element.
+
+
+def _reconstruct(table, adj, root, root_state, values):
+    """Walk the table back into labels for ``root``'s component, deterministically.
+
+    Ties prefer the earlier state letter, then the lower child label (the
+    adjacency order is ascending, so first-found wins).
+    """
+    a, b, c, d = table.a, table.b, table.c, table.d
+    parent = table.parent
+    stack = [(root, root_state)]
+    while stack:
+        v, state = stack.pop()
+        children = [u for u in adj[v] if parent[u] == v]
+        if state == "A":
+            values[v] = 0
+            best = None
+            for u in children:
+                mac = a[u] if a[u] < c[u] else c[u]
+                delta = d[u] - mac
+                if best is None or delta < best[0]:
+                    best = (delta, u)
+            chosen = best[1]
+            for u in children:
+                if u == chosen:
+                    stack.append((u, "D"))
+                else:
+                    stack.append((u, "A" if a[u] <= c[u] else "C"))
+        elif state == "B":
+            values[v] = 0
+            for u in children:
+                stack.append((u, "A" if a[u] <= c[u] else "C"))
+        elif state == "C":
+            values[v] = 1
+            for u in children:
+                if a[u] <= c[u] and a[u] <= d[u]:
+                    stack.append((u, "A"))
+                elif c[u] <= d[u]:
+                    stack.append((u, "C"))
+                else:
+                    stack.append((u, "D"))
+        else:
+            values[v] = 2
+            for u in children:
+                if b[u] <= c[u] and b[u] <= d[u]:
+                    stack.append((u, "B"))
+                elif c[u] <= d[u]:
+                    stack.append((u, "C"))
+                else:
+                    stack.append((u, "D"))
+
+
+def _stack_witness(x):
+    adj = x.adjacency
+    table = _tables(*rooted_order(adj))
+    values = [0] * len(adj)
+    for root in table.roots:
+        best = None
+        for state, cost in (("A", table.a[root]), ("C", table.c[root]), ("D", table.d[root])):
+            if best is None or cost < best[1]:
+                best = (state, cost)
+        _reconstruct(table, adj, root, best[0], values)
+    return tuple(values)
+
+
+def test_witness_matches_the_stack_route_on_all_small_trees():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert optimal_assignment(t).values == _stack_witness(t)
+
+
+@given(labeled_forests())
+@settings(max_examples=200, deadline=None)
+def test_witness_matches_the_stack_route_on_forests(f):
+    assert optimal_assignment(f).values == _stack_witness(f)
+
+
+def test_witness_matches_the_stack_route_on_a_tied_forest():
+    # paths, stars and caterpillars have many optima, so every tie rule counts
+    parts = [make_path(301), make_star(120), make_spider([2] * 40), make_path(2)]
+    spine = 90
+    caterpillar = [(i, i + 1) for i in range(spine - 1)]
+    caterpillar += [(i % spine, i) for i in range(spine, 3 * spine)]
+    parts.append(Tree(Graph(3 * spine, caterpillar)))
+    edges, n = [], 0
+    for t in parts:
+        edges += [(u + n, v + n) for u, v in t.graph.edges()]
+        n += t.n
+    n += 3  # isolated vertices
+    rng = random.Random(2024)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    f = Forest(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+    witness = optimal_assignment(f)
+    assert witness.values == _stack_witness(f)
+    assert witness.is_valid_on(f) and witness.weight == prd_number(f)
+
+
+def test_shared_walk_is_never_changed():
+    t = tree_from_prufer([3, 3, 7, 0, 7, 5, 5, 8, 1])
+    f = remove_vertex(t, 7)
+    for x in (t, f):
+        walk = x.walk
+        order, parent = rooted_order(x.adjacency)
+        canonical_forms(x)
+        forced_zero_set(x)
+        optimal_assignment(x)
+        if isinstance(x, Tree):
+            for v in range(x.n):
+                prd_number_forced(x, v, {0, 1, 2})
+        assert x.walk is walk
+        assert walk == (tuple(order), tuple(parent))
