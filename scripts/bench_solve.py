@@ -1,10 +1,15 @@
 """End-to-end timing of ``prdom solve`` on two 1M-vertex trees.
 
-Run from the root of a checkout, for this checkout alone or against
-another one:
+Run from the root of a checkout. The committed ``BENCH_solve.json`` holds
+two sides, the parent commit's source and this checkout's, and is rebuilt
+with
 
-    python3 scripts/bench_solve.py
-    python3 scripts/bench_solve.py --side before=../old/src --side after=src
+    mkdir -p ../parent && git archive PARENT_COMMIT src | tar -x -C ../parent
+    python3 scripts/bench_solve.py --side parent=../parent/src --side change=src
+
+With no ``--side`` the script times this checkout alone as ``current``.
+It will not overwrite a result file that holds other sides; give such a
+run its own ``--out``.
 
 Each run is one ``python -m prdom.cli solve`` child with ``PYTHONPATH`` at
 a side's source directory; its wall time is measured around the child and
@@ -15,7 +20,7 @@ written once to a temporary directory:
 - ``rrt``: a random recursive tree (vertex i joins a uniform vertex below
   it), labels shuffled and edges flipped and shuffled, from a fixed seed.
 
-Every command runs ``--repeat`` times per input and side, the sides taking
+Every command runs ``REPEAT`` times per input and side, the sides taking
 turns run by run, so a drift in the machine's speed hits each alike. The
 medians per side go to ``--out`` with the machine, the Python version and
 the workload, and a digest of each report without its ``timing`` key, so
@@ -41,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 N = 1_000_000
 SEED = 20240
+REPEAT = 3
 COMMANDS = {"solve": [], "solve --witness": ["--witness"]}
 
 
@@ -110,13 +116,21 @@ def main(argv: list[str] | None = None) -> int:
         metavar="LABEL=SRC",
         help="a prdom source directory to run, repeatable (default: current=this checkout's src)",
     )
-    parser.add_argument("--repeat", type=int, default=3, help="runs per command, input and side (default 3)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_solve.json", help="result file")
     args = parser.parse_args(argv)
     sides = dict(args.side or [("current", ROOT / "src")])
     for label, src in sides.items():
         if not (src / "prdom" / "cli.py").is_file():
             print(f"bench_solve: no prdom source at {src} for {label}", file=sys.stderr)
+            return 2
+    if args.out.is_file():
+        held = set(json.loads(args.out.read_text()).get("results", {}))
+        if held != set(sides):
+            print(
+                f"bench_solve: {args.out} holds sides {sorted(held)}, not {sorted(sides)};"
+                " pass --out to write this run elsewhere",
+                file=sys.stderr,
+            )
             return 2
 
     results: dict = {label: {} for label in sides}
@@ -131,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             digests[name] = input_digest
             for command, flags in COMMANDS.items():
                 runs: dict[str, list[tuple[float, float, str]]] = {label: [] for label in sides}
-                for _ in range(args.repeat):
+                for _ in range(REPEAT):
                     for label, src in sides.items():
                         runs[label].append(run_child(src, ["solve", "--input", str(file), *flags]))
                 for label, samples in runs.items():
@@ -161,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             "input_sha256": digests,
             "commands": [f"prdom {c} --input FILE" for c in COMMANDS],
-            "repeat": args.repeat,
+            "repeat": REPEAT,
             "measure": "median wall seconds of a python -m prdom.cli child; peak RSS from os.wait4",
         },
         "results": results,
