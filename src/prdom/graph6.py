@@ -94,4 +94,5 @@ def parse_graph6(data: bytes | str) -> Graph:
                 if i == j:
                     j += 1
                     i = 0
-    return Graph(n, edges)
+    # the decoder emits each pair i < j < n at most once, so no check is needed
+    return Graph._from_edges(n, edges)

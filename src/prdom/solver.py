@@ -29,9 +29,10 @@ not walk the graph again. The number is the sum, over the component
 roots, of the best root state. A witness is read back top-down along the
 same walk: each vertex's state follows from its parent's state and its own
 four costs, with state A's D-child found in one pass beforehand. The
-exponential routes (a literal scan of all 3^n labelings, and a scan over
-all 2^n placements of the 2s with the forced minimal completion) exist as
-independent ground truth for small graphs.
+exponential routes (a literal scan of all 3^n labelings, and a Gray-code
+scan over all 2^n placements of the 2s with the forced minimal completion)
+exist as independent ground truth for small graphs; both are plain Python,
+so the package has no runtime dependency.
 
 The set returned by ``forced_zero_set`` contains the vertices labeled 0 by
 every minimum-weight PRDF; "any" in the usual phrasing of that set is read
@@ -43,12 +44,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .graphs import Forest, Graph, SizeLimitError, Tree, rooted_order
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graphs import Forest, Graph, SizeLimitError, Tree
 
 INFEASIBLE = 1 << 60
 BRUTE_FORCE_MAX_N = 16
@@ -300,9 +298,10 @@ def optimal_assignment(x: Tree | Forest) -> Assignment:
 def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
     """Minimum PRDF weight subject to the label of ``v`` lying in ``allowed``.
 
-    Rooting at ``v`` turns the constraint into a root-state restriction
-    (0 -> A, 1 -> C, 2 -> D). Returns ``math.inf`` when no PRDF complies,
-    which happens only for label 0 on an isolated vertex.
+    With ``v`` as the root the constraint is a root-state restriction
+    (0 -> A, 1 -> C, 2 -> D), so this reads ``v``'s root costs from the
+    rerooting pass. Returns ``math.inf`` when no PRDF complies, which
+    happens only for label 0 on an isolated vertex.
     """
     wanted = frozenset(allowed)
     if not wanted:
@@ -311,14 +310,10 @@ def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
         raise ValueError(f"labels must lie in {{0, 1, 2}}, got {sorted(wanted)}")
     if not (0 <= v < t.n):
         raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-    table = _tables(*rooted_order(t.adjacency, (v,)))
-    best = INFEASIBLE
-    if 0 in wanted and table.a[v] < best:
-        best = table.a[v]
-    if 1 in wanted and table.c[v] < best:
-        best = table.c[v]
-    if 2 in wanted and table.d[v] < best:
-        best = table.d[v]
+    costs = _all_roots(t)
+    best = min(
+        cost[v] for label, cost in enumerate((costs.a, costs.c, costs.d)) if label in wanted
+    )
     return best if best < INFEASIBLE else float("inf")
 
 
@@ -340,20 +335,6 @@ def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Exhaustive ground truth.
-
-_POPCOUNT16: np.ndarray | None = None
-
-
-def _popcount16() -> np.ndarray:
-    global _POPCOUNT16
-    if _POPCOUNT16 is None:
-        import numpy as np
-        table = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(1, 1 << 16):
-            table[i] = table[i >> 1] + (i & 1)
-        _POPCOUNT16 = table
-    return _POPCOUNT16
-
 
 def _brute_ternary(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
     n = len(adj)
@@ -382,39 +363,54 @@ def _brute_ternary(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
-    """Scan the 2^n placements of the label-2 set.
+    """Scan the 2^n placements of the label-2 set in Gray-code order.
 
     For a fixed 2-set S the cheapest completion is forced: vertices outside
     S with exactly one S-neighbor take 0, every other outside vertex takes
     1. Any minimum-weight PRDF arises this way, so scanning all S recovers
-    both the optimum and the complete set of optimal labelings.
+    both the optimum and the complete set of optimal labelings. Consecutive
+    sets in the reflected Gray code differ in one vertex (Knuth, TAOCP
+    Vol. 4A, 7.2.1.1), so each step updates only that vertex's label and
+    its neighbours' 2-neighbour counts and labels, keeping a running weight.
     """
-    import numpy as np
     n = len(adj)
     if n == 0:
         return 0, [()]
-    nbr = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        mask = 0
+    label = [1] * n  # S starts empty: every vertex takes 1
+    twos = [0] * n  # number of S-neighbours
+    weight = best = n
+    kept = [0]
+    s = 0
+    for step in range(1, 1 << n):
+        # Gray codes step - 1 and step differ in step's lowest set bit
+        v = (step & -step).bit_length() - 1
+        s ^= 1 << v
+        if label[v] == 2:
+            new, change = (0 if twos[v] == 1 else 1), -1
+        else:
+            new, change = 2, 1
+        weight += new - label[v]
+        label[v] = new
         for u in adj[v]:
-            mask |= 1 << u
-        nbr[v] = mask
-    pop = _popcount16()
-    subsets = np.arange(1 << n, dtype=np.int64)
-    weights = 2 * pop[subsets].astype(np.int64)
-    for v in range(n):
-        outside = ((subsets >> v) & 1) == 0
-        hits = pop[subsets & nbr[v]]
-        weights += outside & (hits != 1)
-    best = int(weights.min())
+            k = twos[u] = twos[u] + change
+            old = label[u]
+            if old != 2:
+                new = 0 if k == 1 else 1
+                weight += new - old
+                label[u] = new
+        if weight < best:
+            best = weight
+            kept = [s]
+        elif weight == best:
+            kept.append(s)
+    nbr = [sum(1 << u for u in nbrs) for nbrs in adj]
     out = []
-    for s in np.flatnonzero(weights == best):
-        s = int(s)
+    for s in kept:
         values = []
         for v in range(n):
             if (s >> v) & 1:
                 values.append(2)
-            elif bin(s & int(nbr[v])).count("1") == 1:
+            elif (s & nbr[v]).bit_count() == 1:
                 values.append(0)
             else:
                 values.append(1)
@@ -425,22 +421,20 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
 def brute_force(
     g: Graph | Tree | Forest,
     enumerate_all: bool = False,
-    method: str = "auto",
+    method: str = "subsets",
 ) -> tuple[int, list[Assignment] | None]:
     """Exhaustive minimum over every labeling of any graph, n <= 16.
 
-    ``method`` picks the route: "ternary" walks all 3^n labelings and keeps
-    the valid ones, "subsets" scans the 2^n possible label-2 sets with the
-    forced cheapest completion, and "auto" chooses by size. Both routes
-    return identical results; with ``enumerate_all`` the full list of
-    minimum-weight labelings comes back sorted.
+    ``method`` picks the route: "subsets" (the default) scans the 2^n
+    possible label-2 sets with the forced cheapest completion, and
+    "ternary" walks all 3^n labelings and keeps the valid ones, the literal
+    reference. Both routes return identical results; with ``enumerate_all``
+    the full list of minimum-weight labelings comes back sorted.
     """
     adj = g.adjacency
     n = len(adj)
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
-    if method == "auto":
-        method = "ternary" if n <= 7 else "subsets"
     if method == "ternary":
         best, found = _brute_ternary(adj)
     elif method == "subsets":

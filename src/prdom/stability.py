@@ -110,7 +110,7 @@ class OptimaReport:
         return not self.one_vertices and not self.two_leaves and not self.site_violations
 
 
-def optima_report(t: Tree, include_sites: bool = True) -> OptimaReport:
+def optima_report(t: Tree) -> OptimaReport:
     """Enumerate every optimum of a small tree and inspect its labels.
 
     The stability hypothesis is the caller's: running this on an unstable
@@ -131,7 +131,7 @@ def optima_report(t: Tree, include_sites: bool = True) -> OptimaReport:
         for v in leaves:
             if opt.values[v] == 2:
                 two_leaves.add(v)
-    sites = tuple(branch_sites(t)) if include_sites else ()
+    sites = tuple(branch_sites(t))
     violations = []
     for site in sites:
         for opt in optima:

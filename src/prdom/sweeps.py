@@ -151,8 +151,7 @@ def attachment_delta_sweep(
         raise SizeLimitError(f"attachment sweep capped at n={ATTACHMENT_MAX_N}, got {max_n}")
     result = AttachmentDeltaResult(max_n=max_n)
 
-    def check(t: Tree, u: int, length: int, expect: int, context: str) -> None:
-        before = prd_number(t)
+    def check(t: Tree, before: int, u: int, length: int, expect: int, context: str) -> None:
         after = prd_number(attach_pendant_path(t, u, length))
         if after - before != expect:
             result.violations.append(
@@ -167,20 +166,21 @@ def attachment_delta_sweep(
             )
 
     for t in _stable_trees_up_to(max_n):
+        base = prd_number(t)
         forced = forced_zero_set(t)
         for u in range(t.n):
-            check(t, u, 3, 2, "stable tree, any vertex")
+            check(t, base, u, 3, 2, "stable tree, any vertex")
             result.pendant3_attachments += 1
         for u in sorted(forced):
-            check(t, u, 1, 1, "stable tree, forced-zero vertex")
-            check(t, u, 2, 2, "stable tree, forced-zero vertex")
+            check(t, base, u, 1, 1, "stable tree, forced-zero vertex")
+            check(t, base, u, 2, 2, "stable tree, forced-zero vertex")
             result.forced_zero_attachments += 2
     rng = random.Random(seed)
     for _ in range(random_pairs):
         n = rng.randint(1, random_max_n)
         t = random_labeled_tree(n, rng)
         u = rng.randrange(n)
-        check(t, u, 3, 2, "random tree, random vertex")
+        check(t, prd_number(t), u, 3, 2, "random tree, random vertex")
         result.random_attachments += 1
     return result
 

@@ -1,19 +1,19 @@
+import ast
 import contextlib
 import io
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prdom.canonical
 import prdom.cli as cli
 import prdom.graphs
-import prdom.solver
 from prdom import (
     Certificate,
     Step,
@@ -28,6 +28,7 @@ from prdom import (
     replay_certificate,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 P3_EDGELIST = "3\n0 1\n1 2\n"
 P6_EDGELIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -494,7 +495,6 @@ def test_console_entry_point():
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy serves only the brute-force subset scan, not the commands
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, prdom.cli; print('numpy' in sys.modules)"],
         capture_output=True,
@@ -502,6 +502,40 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+def test_brute_force_and_the_optima_sweep_leave_numpy_unloaded():
+    script = (
+        "import sys\n"
+        "from prdom import brute_force, make_spider, optima_structure_sweep\n"
+        "brute_force(make_spider([3] * 5), enumerate_all=True)  # 16 vertices\n"
+        "optima_structure_sweep(12)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_prdom_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "prdom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
 
 
 def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
@@ -514,8 +548,10 @@ def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
         calls.append(1)
         return walk(*args, **kwargs)
 
-    for module in (prdom.graphs, prdom.solver, prdom.canonical):
-        monkeypatch.setattr(module, "rooted_order", counting)
+    # every prdom module that imports the walk (the solver reads Graph.walk)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prdom" and hasattr(module, "rooted_order"):
+            monkeypatch.setattr(module, "rooted_order", counting)
     path = tmp_path / "forest.txt"
     path.write_text("9\n0 1\n1 2\n3 4\n4 5\n4 6\n7 8\n")
     code, _, _ = run_cli(["solve", "--input", str(path), "--witness"], "", monkeypatch, capsys)

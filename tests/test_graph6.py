@@ -2,7 +2,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import labeled_trees
+from conftest import labeled_trees, small_graphs
 from prdom import (
     GRAPH6_MAX_N,
     Graph,
@@ -106,6 +106,12 @@ def test_nonzero_padding_rejected():
 @settings(max_examples=200, deadline=None)
 def test_round_trip_random_trees(t):
     assert parse_graph6(emit_graph6(t.graph)) == t.graph
+
+
+@given(small_graphs(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_round_trip_graphs_with_cycles(g):
+    assert parse_graph6(emit_graph6(g)) == g
 
 
 def test_round_trip_thousand_seeded_trees():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -96,7 +97,7 @@ def test_brute_force_accepts_cyclic_graphs():
 
 
 def test_brute_force_methods_agree_exhaustively():
-    for n in range(1, 9):
+    for n in range(1, 10):
         for t in enumerate_free_trees(n):
             wt, at = brute_force(t, enumerate_all=True, method="ternary")
             ws, as_ = brute_force(t, enumerate_all=True, method="subsets")
@@ -196,9 +197,46 @@ def test_forced_zero_set_matches_full_enumeration():
             assert forced_zero_set(t) == always_zero
 
 
+def _forced_by_a_table_rooted_at(t, v, allowed):
+    """prd_number_forced's route before it read the rerooting pass: one DP
+    table rooted at ``v``, then the allowed root states of ``v``."""
+    table = _tables(*rooted_order(t.adjacency, (v,)))
+    best = INFEASIBLE
+    if 0 in allowed and table.a[v] < best:
+        best = table.a[v]
+    if 1 in allowed and table.c[v] < best:
+        best = table.c[v]
+    if 2 in allowed and table.d[v] < best:
+        best = table.d[v]
+    return best if best < INFEASIBLE else math.inf
+
+
+_LABEL_SETS = [frozenset(s) for k in (1, 2, 3) for s in itertools.combinations((0, 1, 2), k)]
+
+
+def _forced_matches_a_table_per_root(t):
+    for v in range(t.n):
+        for allowed in _LABEL_SETS:
+            assert prd_number_forced(t, v, allowed) == _forced_by_a_table_rooted_at(t, v, allowed)
+
+
+def test_forced_matches_a_table_per_root_on_all_small_trees():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            _forced_matches_a_table_per_root(t)
+
+
+@given(labeled_trees(max_n=40))
+@settings(max_examples=100, deadline=None)
+def test_forced_matches_a_table_per_root_random(t):
+    _forced_matches_a_table_per_root(t)
+
+
 def _forced_zero_by_rerooting_each_vertex(t):
     base = prd_number(t)
-    return frozenset(v for v in range(t.n) if prd_number_forced(t, v, {1, 2}) > base)
+    return frozenset(
+        v for v in range(t.n) if _forced_by_a_table_rooted_at(t, v, {1, 2}) > base
+    )
 
 
 def test_forced_zero_set_matches_per_vertex_route_on_all_small_trees():
