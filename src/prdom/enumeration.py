@@ -60,7 +60,7 @@ def _sequence_parents(seq: Sequence[int]) -> list[int]:
 
 def _parents_to_tree(parent: list[int]) -> Tree:
     n = len(parent)
-    return Tree._wrap(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
+    return Tree(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
 
 
 def _split_first_subtree(seq: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -128,7 +128,7 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Tree._wrap(Graph._from_edges(n, edges))
+    return Tree(Graph._from_edges(n, edges))
 
 
 def all_labeled_trees(n: int) -> Iterator[Tree]:

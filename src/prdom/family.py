@@ -3,10 +3,11 @@
 Members are exactly the trees reachable from the 3-vertex path by repeatedly
 hanging a pendant 3-vertex path off a vertex that every minimum-weight
 labeling forces to 0 (``grow``). The recognizer inverts the construction:
-starting from a deterministic longest path it peels the pendant 3-chain at
-the far end, demands the two inner path vertices have degree 2, and checks
-that the anchor the chain hung from is forced-zero in the peeled tree. An
-accepted tree comes with a replayable build certificate.
+from the lowest vertex at diameter distance from another (a leaf) it peels
+the pendant 3-chain that leaf ends, demands the chain's two inner vertices
+have degree 2, and checks that the anchor the chain hung from is
+forced-zero in the peeled tree. It peels the input in place, in input
+labels. An accepted tree comes with a replayable build certificate.
 
 Pendant-P3 invariance: hang v3-v2-v1 (labels n, n+1, n+2) off u in T' to
 get T; then FZ(T), the forced-zero set, restricted to T' is FZ(T'), and
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import Graph, Tree, delete_vertices, longest_path, make_path
+from .graphs import Graph, Tree, _periphery, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
@@ -146,38 +147,40 @@ def recognize(t: Tree) -> RecognitionResult:
     """Decide family membership, with a build certificate on acceptance.
 
     Iterative peeling: reject orders not divisible by 3 up front (no member
-    has one), accept the 3-vertex base, and otherwise require diameter at
-    least 4, degree 2 on the second and third vertices of the deterministic
-    longest path, and a forced-zero anchor after removing that 3-chain.
+    has one), accept the 3-vertex base, and otherwise take x1, the lowest
+    vertex whose eccentricity is the diameter, and require diameter at least
+    4, degree 2 at x1's neighbor x2 and at x2's next neighbor x3, and a
+    forced-zero anchor x4 past x3. Each peel then isolates x1, x2 and x3 in
+    one copy of the input's adjacency, so every label stays an input label.
     One forced-zero pass on the input serves every peel (each peeled tree's
-    set is the input's, restricted), but each of the n/3 peels still pays a
-    longest-path search and an O(n) deletion, so recognition is O(n^2).
+    set is the input's, restricted), but each of the n/3 peels still sweeps
+    all n vertices, so recognition is O(n^2).
     """
     if t.n % 3 != 0:
         return RecognitionResult(False, None, "order not a multiple of 3")
     forced = forced_zero_set(t) if t.n > 3 else frozenset()
-    labels = list(range(t.n))  # current label -> input label
-    peels: list[tuple[int, int, int, int]] = []  # (x1, x2, x3, x4), input labels
-    current = t
-    while current.n > 3:
-        path = longest_path(current)
-        if len(path) < 5:
+    adj = [list(nbrs) for nbrs in t.adjacency]
+    peels: list[tuple[int, int, int, int]] = []
+    for _ in range(t.n // 3 - 1):
+        diam, x1 = _periphery(adj)
+        if diam < 4:
             return RecognitionResult(False, None, "diameter below 4")
-        x1, x2, x3, x4 = path[:4]
-        if current.degree(x2) != 2:
+        (x2,) = adj[x1]
+        if len(adj[x2]) != 2:
             return RecognitionResult(False, None, "second path vertex degree is not 2")
-        if current.degree(x3) != 2:
+        x3 = sum(adj[x2]) - x1  # the other neighbor
+        if len(adj[x3]) != 2:
             return RecognitionResult(False, None, "third path vertex degree is not 2")
-        if labels[x4] not in forced:
+        x4 = sum(adj[x3]) - x2  # and x3's
+        if x4 not in forced:
             return RecognitionResult(False, None, "anchor is not forced-zero after peeling")
-        peels.append((labels[x1], labels[x2], labels[x3], labels[x4]))
-        current = Tree._wrap(delete_vertices(current.graph, (x1, x2, x3))[0])
-        # deletion keeps the survivors' relative order
-        labels = [x for v, x in enumerate(labels) if v not in (x1, x2, x3)]
+        peels.append((x1, x2, x3, x4))
+        adj[x4].remove(x3)
+        adj[x1] = adj[x2] = adj[x3] = []
     # iso maps input labels to construction labels
-    center = next(v for v in range(3) if current.degree(v) == 2)
-    leaves = sorted(labels[v] for v in range(3) if v != center)
-    iso = {labels[center]: 1, leaves[0]: 0, leaves[1]: 2}
+    center = next(v for v, nbrs in enumerate(adj) if len(nbrs) == 2)
+    leaf0, leaf2 = adj[center]  # still sorted: peeling only removes
+    iso = {center: 1, leaf0: 0, leaf2: 2}
     steps: list[Step] = []
     for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):
         steps.append(Step(u=iso[x4], added=(size, size + 1, size + 2)))

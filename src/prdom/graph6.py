@@ -12,6 +12,8 @@ from .graphs import Graph, ParseError, SizeLimitError
 
 GRAPH6_MAX_N = 258047
 
+_PLUS_63 = bytes((b + 63) & 0xFF for b in range(256))
+
 
 def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 token (no trailing newline)."""
@@ -26,20 +28,17 @@ def emit_graph6(g: Graph) -> bytes:
         out.append(((n >> 12) & 0x3F) + 63)
         out.append(((n >> 6) & 0x3F) + 63)
         out.append((n & 0x3F) + 63)
-    acc = 0
-    nbits = 0
-    adjsets = [set(a) for a in g.adjacency]
-    for j in range(1, n):
-        col = adjsets[j]
-        for i in range(j):
-            acc = (acc << 1) | (1 if i in col else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
+    # pair i < j is bit j(j-1)/2 + i, big-endian within its 6-bit byte;
+    # neighbors are sorted, so a column's pairs end at the first i >= j
+    bits = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for j, nbrs in enumerate(g.adjacency):
+        base = j * (j - 1) // 2
+        for i in nbrs:
+            if i >= j:
+                break
+            k = base + i
+            bits[k // 6] |= 32 >> (k % 6)
+    out += bits.translate(_PLUS_63)
     return bytes(out)
 
 

@@ -120,7 +120,8 @@ class Graph:
 
 
 class Tree:
-    """A connected acyclic Graph. Connectivity and edge count are checked."""
+    """A connected acyclic Graph. Every Tree is checked here: the edge count,
+    then one root in the walk it fills (which later passes read anyway)."""
 
     __slots__ = ("graph",)
 
@@ -133,13 +134,6 @@ class Tree:
         if graph.walk[1].count(-1) != 1:
             raise ValueError("graph is not connected")
         self.graph = graph
-
-    @classmethod
-    def _wrap(cls, graph: Graph) -> "Tree":
-        """Trusted constructor for graphs already known to be trees."""
-        t = object.__new__(cls)
-        t.graph = graph
-        return t
 
     @property
     def n(self) -> int:
@@ -229,7 +223,7 @@ class Forest:
                 tuple(index[u] for u in self.graph.adjacency[old]) for old in verts
             )
             g = Graph._from_adjacency(len(verts), adj)
-            out.append((Tree._wrap(g), tuple(verts)))
+            out.append((Tree(g), tuple(verts)))
         return out
 
     def __repr__(self) -> str:
@@ -385,46 +379,49 @@ def leaves_of(t: Tree, v: int) -> frozenset[int]:
 
 
 def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
-    """Distances from ``start`` to every vertex of a tree."""
+    """Distances from ``start`` within its component; every other component
+    counts from its smallest vertex."""
     order, parent = rooted_order(adj, (start,))
     dist = [0] * len(adj)
-    for v in order[1:]:
-        dist[v] = dist[parent[v]] + 1
+    for v in order:
+        if parent[v] >= 0:
+            dist[v] = dist[parent[v]] + 1
     return dist
 
 
-def diameter(t: Tree) -> int:
-    """Number of edges on a longest path (0 for K1). Double BFS."""
-    adj = t.adjacency
+def _periphery(adj: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(diameter, lowest vertex of that eccentricity) of a tree, which may sit
+    among isolated vertices when it has an edge. Three sweeps."""
     d0 = _bfs_distances(adj, 0)
     a = d0.index(max(d0))
-    da = _bfs_distances(adj, a)
-    return max(da)
+    dist_a = _bfs_distances(adj, a)
+    diam = max(dist_a)
+    dist_b = _bfs_distances(adj, dist_a.index(diam))
+    # In a tree every eccentricity is realized against one of the two
+    # diameter endpoints, so ecc(v) = max(dist_a[v], dist_b[v]).
+    start = next(v for v in range(len(adj)) if max(dist_a[v], dist_b[v]) == diam)
+    return diam, start
+
+
+def diameter(t: Tree) -> int:
+    """Number of edges on a longest path (0 for K1)."""
+    return _periphery(t.adjacency)[0]
 
 
 def longest_path(t: Tree) -> list[int]:
     """A deterministic longest path, as a vertex sequence.
 
-    Among all diameter-realizing paths the result starts at the lowest
-    possible label and is lexicographically smallest from there.
+    It starts at the lowest vertex whose eccentricity is the diameter (a
+    leaf, unless the tree is K1) and descends from there, taking the
+    smallest label that still reaches the full length: among all
+    diameter-realizing paths it is the lexicographically smallest.
     """
     adj = t.adjacency
-    n = t.n
-    d0 = _bfs_distances(adj, 0)
-    a = d0.index(max(d0))
-    dist_a = _bfs_distances(adj, a)
-    b = dist_a.index(max(dist_a))
-    dist_b = _bfs_distances(adj, b)
-    diam = dist_a[b]
-    # In a tree every eccentricity is realized against one of the two
-    # diameter endpoints, so ecc(v) = max(dist_a[v], dist_b[v]).
-    start = next(
-        v for v in range(n) if max(dist_a[v], dist_b[v]) == diam
-    )
+    diam, start = _periphery(adj)
     # Root at start; a path from the root is a descent, so greedily take the
     # smallest child whose downward height still reaches the full length.
     order, parent = rooted_order(adj, (start,))
-    height = [0] * n
+    height = [0] * t.n
     for v in reversed(order):
         p = parent[v]
         if p >= 0 and height[v] + 1 > height[p]:

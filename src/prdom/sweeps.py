@@ -23,6 +23,8 @@ from .stability import attach_pendant_path, optima_report, stability_report
 
 CHARACTERIZATION_MAX_N = 15
 ATTACHMENT_MAX_N = 15
+ATTACHMENT_RANDOM_PAIRS = 200
+ATTACHMENT_RANDOM_MAX_N = 60
 OPTIMA_SWEEP_MAX_N = 12
 
 _DEGREE_REASONS = (
@@ -133,19 +135,15 @@ def _stable_trees_up_to(max_n: int) -> list[Tree]:
     return out
 
 
-def attachment_delta_sweep(
-    max_n: int = 12,
-    random_pairs: int = 200,
-    random_max_n: int = 60,
-    seed: int = 0,
-) -> AttachmentDeltaResult:
+def attachment_delta_sweep(max_n: int = 12, seed: int = 0) -> AttachmentDeltaResult:
     """Measure the weight delta of every pendant attachment.
 
     On every stable tree up to max_n: a pendant 3-path adds exactly 2 at
     every vertex, a single pendant vertex adds exactly 1 at forced-zero
     vertices, and a pendant 2-path adds exactly 2 at forced-zero vertices.
     The 3-path delta needs no stability hypothesis at all, so it is also
-    fired at seeded random (tree, vertex) pairs up to random_max_n.
+    fired at ATTACHMENT_RANDOM_PAIRS seeded random (tree, vertex) pairs of
+    up to ATTACHMENT_RANDOM_MAX_N vertices.
     """
     if max_n > ATTACHMENT_MAX_N:
         raise SizeLimitError(f"attachment sweep capped at n={ATTACHMENT_MAX_N}, got {max_n}")
@@ -176,8 +174,8 @@ def attachment_delta_sweep(
             check(t, base, u, 2, 2, "stable tree, forced-zero vertex")
             result.forced_zero_attachments += 2
     rng = random.Random(seed)
-    for _ in range(random_pairs):
-        n = rng.randint(1, random_max_n)
+    for _ in range(ATTACHMENT_RANDOM_PAIRS):
+        n = rng.randint(1, ATTACHMENT_RANDOM_MAX_N)
         t = random_labeled_tree(n, rng)
         u = rng.randrange(n)
         check(t, prd_number(t), u, 3, 2, "random tree, random vertex")

@@ -603,3 +603,51 @@ def test_raw_bytes_end_in_a_documented_exit_code(tmp_path_factory, data, command
     assert message.count("\n") <= 1
     # success and a failed check report in the JSON; every other exit says why
     assert (message == "") == (code in (0, 1))
+
+
+def _maybe_flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+# --steps stays below 86014, whose member is just under the graph6 cap (gigabytes
+# of output), apart from values past the cap, which are refused before any work
+_GENERATE_ARGV = st.builds(
+    lambda steps, every, seed: ["generate", *steps, *every, *seed],
+    _maybe_flag("--steps", st.one_of(st.integers(-3, 60), st.sampled_from([86015, 10**6]))),
+    _maybe_flag("--all", st.integers(-3, 24)),
+    _maybe_flag("--seed", st.integers(-(2**64), 2**64)),
+)
+# bounds past a suite's cap only for a named suite: under "all" they clamp and run
+_VERIFY_ARGV = st.one_of(
+    st.builds(
+        lambda suite, n: ["verify", *suite, "--max-n", str(n)],
+        st.sampled_from([[], ["--suite", "all"]]),
+        st.integers(-3, 9),
+    ),
+    st.builds(
+        lambda suite, n: ["verify", "--suite", suite, "--max-n", str(n)],
+        st.sampled_from(["theorem", "lemmas", "observation"]),
+        st.one_of(st.integers(-3, 9), st.sampled_from([16, 10**6])),
+    ),
+)
+
+
+@given(argv=st.one_of(_GENERATE_ARGV, _VERIFY_ARGV))
+@settings(max_examples=200, deadline=None)
+def test_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
+    output = tmp_path_factory.mktemp("flags") / "output.txt"
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--output", str(output)])
+    except SystemExit as exc:  # argparse's own usage errors, such as --steps with --all
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2, 3, 4)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    if code in (2, 3, 4):
+        assert message.startswith("prdom: ") and message.count("\n") == 1
+        assert message.endswith("\n")
+    else:
+        assert message == ""

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import prdom
 import prdom.cli as cli
 import prdom.family as family
+import prdom.graphs as graphs
 import prdom.solver as solver
 import prdom.sweeps as sweeps
 from conftest import labeled_trees
@@ -289,6 +291,43 @@ def test_recognize_matches_the_oracle_on_shuffled_members(t):
     result = recognize(t)
     assert result.accepted
     assert tuple(result) == _recognize_per_peel(t)
+
+
+@pytest.mark.parametrize(("steps", "seed"), [(100, 0), (200, 1)])
+def test_recognize_matches_the_oracle_on_long_shuffled_members(steps, seed):
+    rng = random.Random(seed)
+    t = replay_certificate(random_certificate(steps, rng), check_stability=False)
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    t = Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+    result = recognize(t)
+    assert result.accepted
+    assert tuple(result) == _recognize_per_peel(t)
+
+
+def test_recognize_peels_the_input_in_place(monkeypatch):
+    # three sweeps per peel over the input's own labels: no relabelled copy
+    # and no longest-path descent
+    t = replay_certificate(random_certificate(300, random.Random(4)), check_stability=False)
+    calls = []
+    walk = graphs.rooted_order
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recognize built a relabelled copy or a whole path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prdom":
+            if hasattr(module, "rooted_order"):
+                monkeypatch.setattr(module, "rooted_order", counting)
+            for helper in ("delete_vertices", "longest_path"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+    assert recognize(t).accepted
+    assert len(calls) == 3 * 300
 
 
 @given(labeled_trees(min_n=3, max_n=45))

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from prdom import (
     Tree,
     diameter,
     emit_edge_list,
+    enumerate_free_trees,
     leaves_of,
     longest_path,
     make_double_star,
@@ -21,8 +23,9 @@ from prdom import (
     make_star,
     parse_edge_list,
     remove_vertex,
+    tree_from_prufer,
 )
-from prdom.graphs import EDGE_LIST_MAX_N, rooted_order
+from prdom.graphs import EDGE_LIST_MAX_N, _bfs_distances, _periphery, rooted_order
 
 
 def test_parse_edge_list_p3():
@@ -149,6 +152,27 @@ def test_longest_path_and_diameter():
     # lowest start label, then lexicographically smallest continuation
     spider = make_spider([2, 2, 2])
     assert longest_path(spider) == [2, 1, 0, 3, 4]
+
+
+def test_diameter_matches_networkx_on_all_small_trees():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert diameter(t) == nx.diameter(nx.from_dict_of_lists(dict(enumerate(t.adjacency))))
+
+
+def test_distances_and_periphery_among_isolated_vertices():
+    # the path 0-1-2-3 and isolated 4, 5: every further root counts from 0
+    adj = [(1,), (0, 2), (1, 3), (2,), (), ()]
+    assert _bfs_distances(adj, 0) == [0, 1, 2, 3, 0, 0]
+    assert _bfs_distances(adj, 2) == [2, 1, 0, 1, 0, 0]
+    assert _periphery(adj) == (3, 0)
+    # isolated 0 and 5 around the spider 2-1-3-4, 3-6-7 (centre 3)
+    adj = [(), (2, 3), (1,), (1, 4, 6), (3,), (), (3, 7), (6,)]
+    assert _bfs_distances(adj, 0) == [0, 0, 1, 1, 2, 0, 2, 3]
+    assert _bfs_distances(adj, 7) == [0, 3, 4, 2, 3, 0, 1, 0]
+    assert _periphery(adj) == (4, 2)
+    # two components with edges: the second counts from its own root 4
+    assert _bfs_distances([(1,), (0, 2), (1,), (), (5,), (4,)], 0) == [0, 1, 2, 0, 0, 1]
 
 
 def test_longest_path_realizes_diameter():
@@ -317,3 +341,11 @@ def test_tree_and_forest_fill_the_shared_walk():
     assert g.walk == ((0, 2, 1, 3, 4), (-1, -1, 0, 1, 1))
     t = Tree(Graph(3, [(0, 1), (1, 2)]))
     assert t.graph._walk == ((0, 1, 2), (-1, 0, 1))
+
+
+def test_every_built_tree_is_validated():
+    # the generators and component_trees go through Tree(), which fills the walk
+    built = [tree_from_prufer([3, 3, 1]), *enumerate_free_trees(7)]
+    built += [t for t, _ in remove_vertex(make_spider([2, 1, 3]), 0).component_trees()]
+    for t in built:
+        assert t.graph._walk is not None and t.walk[1].count(-1) == 1
