@@ -5,7 +5,7 @@ component is rooted at its centroid; with two centroids the central edge is
 cut and both orientations of the pair encoding are tried, keeping the
 smaller. The rooted encoding is the balanced-parenthesis form, children in
 the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
-forest is encoded in place: the graph's shared ``walk`` finds the
+forest is encoded in place: the forest's own ``walk`` finds the
 centroids, one ``rooted_order`` walk roots every component there, and each
 level is ranked over all components at once, bottom-up. Ranking a level
 pushes each vertex's code up to its parent, so the level above reads its
@@ -25,7 +25,7 @@ CanonicalForm = bytes
 
 def _centroids(order: Sequence[int], parent: Sequence[int]) -> list[list[int]]:
     """Each component's one or two centroids, ascending, from a walk that
-    roots every component at its smallest vertex (``Graph.walk``);
+    roots every component at its smallest vertex (``Forest.walk``);
     components in order of their smallest vertex."""
     size = [1] * len(order)
     widest = [0] * len(order)  # largest child-subtree size
@@ -67,7 +67,7 @@ def _parenthesize(table: list[tuple[int, ...]], code: int) -> bytes:
     return bytes(out)
 
 
-def canonical_forms(x: Tree | Forest) -> list[CanonicalForm]:
+def canonical_forms(x: Forest) -> list[CanonicalForm]:
     """One relabeling-invariant form per component, in order of each
     component's smallest vertex: equal forms iff isomorphic components."""
     adj = x.adjacency

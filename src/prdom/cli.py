@@ -54,6 +54,9 @@ EXIT_PARSE_ERROR = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_INTERNAL = 4
 
+# generate refuses, before any work, a member whose graph6 line is longer
+GENERATE_MAX_BYTES = 64 << 20
+
 
 class _UsageError(ValueError):
     pass
@@ -123,7 +126,7 @@ def _report(args: argparse.Namespace, command: str, options: dict, input_info: d
     _write_output(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _input_info(x: Tree | Forest) -> dict:
+def _input_info(x: Forest) -> dict:
     forms = canonical_forms(x)
     return {
         "digest": "sha256:" + hashlib.sha256(b"|".join(sorted(forms))).hexdigest(),
@@ -205,9 +208,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         if args.steps < 0:
             raise _UsageError(f"--steps must be non-negative, got {args.steps}")
-        if 3 + 3 * args.steps > GRAPH6_MAX_N:
+        n = 3 + 3 * args.steps
+        if n > GRAPH6_MAX_N:
             raise SizeLimitError(
                 f"--steps {args.steps} builds more than the graph6 cap of {GRAPH6_MAX_N} vertices"
+            )
+        # the size field, then the n(n-1)/2 edge bits six to a byte
+        size = (1 if n < 63 else 4) + (n * (n - 1) // 2 + 5) // 6
+        if size > GENERATE_MAX_BYTES:
+            raise SizeLimitError(
+                f"--steps {args.steps} writes a graph6 line of {size} bytes,"
+                f" above the cap of {GENERATE_MAX_BYTES}"
             )
         certificates = [random_certificate(args.steps, random.Random(args.seed))]
     trees = (replay_certificate(c, check_stability=False) for c in certificates)

@@ -26,11 +26,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import Graph, Tree, _periphery, make_path
+from .graphs import Graph, Tree, _number_reader, _periphery, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
 FAMILY_MAX_N = 18
+# parse_certificate refuses more steps than this before it builds any Step:
+# replay checks stability at every step, so its time grows quadratically
+CERTIFICATE_MAX_STEPS = 1000
 
 
 class InvalidStepError(ValueError):
@@ -125,9 +128,16 @@ def serialize_certificate(c: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Inverse of serialize_certificate. Labels are ASCII decimal numbers;
+    SizeLimitError above CERTIFICATE_MAX_STEPS step lines."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "P3":
         raise InvalidStepError('certificate must start with the base line "P3"')
+    if len(lines) - 1 > CERTIFICATE_MAX_STEPS:
+        raise SizeLimitError(
+            f"certificates capped at {CERTIFICATE_MAX_STEPS} steps, got {len(lines) - 1}"
+        )
+    number = _number_reader(text)
     steps = []
     for idx, line in enumerate(lines[1:], start=1):
         head, sep, tail = line.partition(":")
@@ -135,8 +145,8 @@ def parse_certificate(text: str) -> Certificate:
         if not sep or len(parts) != 3:
             raise InvalidStepError(f'step line {idx}: expected "u: v3 v2 v1", got {line!r}')
         try:
-            u = int(head)
-            added = tuple(int(p) for p in parts)
+            u = number(head)
+            added = tuple(number(p) for p in parts)
         except ValueError:
             raise InvalidStepError(f"step line {idx}: non-integer label in {line!r}") from None
         steps.append(Step(u=u, added=added))

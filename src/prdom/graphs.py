@@ -4,19 +4,18 @@ Vertices are always the integers 0..n-1. Adjacency is kept as a tuple of
 sorted tuples, which makes every structure hashable-by-content, cheap to
 share between operations, and safe to read from multiple threads.
 
-Each graph also carries its default walk, ``Graph.walk``: the
-``rooted_order`` of the adjacency with every component rooted at its
-smallest vertex, as two tuples. ``Tree`` and ``Forest`` fill it while they
-validate; the DP tables, the rerooting pass and the centroid search read
-it instead of walking the graph again. Filling that cache is the only
-change this module makes to a graph after construction, and it depends on
-the adjacency alone.
+A ``Graph`` is plain immutable data: its order and adjacency. A ``Forest``
+walks its graph once, while it validates, and keeps that walk as
+``Forest.walk``: the ``rooted_order`` of the adjacency with every component
+rooted at its smallest vertex, as two tuples. The DP tables, the rerooting
+pass and the centroid search read it instead of walking the graph again.
+A ``Tree`` is a ``Forest`` with one component.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -43,7 +42,7 @@ Walk = tuple[tuple[int, ...], tuple[int, ...]]
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "adjacency", "_walk")
+    __slots__ = ("n", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -63,7 +62,6 @@ class Graph:
                     raise ValueError(f"duplicate edge ({u}, {nbrs[i]})")
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self._walk: Walk | None = None
 
     @classmethod
     def _from_adjacency(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -71,7 +69,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adjacency = adjacency
-        g._walk = None
         return g
 
     @classmethod
@@ -89,14 +86,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(map(len, self.adjacency)) // 2
-
-    @property
-    def walk(self) -> Walk:
-        """``rooted_order(adjacency)`` as (order, parent) tuples, computed once."""
-        if self._walk is None:
-            order, parent = rooted_order(self.adjacency)
-            self._walk = (tuple(order), tuple(parent))
-        return self._walk
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -119,62 +108,20 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
-class Tree:
-    """A connected acyclic Graph. Every Tree is checked here: the edge count,
-    then one root in the walk it fills (which later passes read anyway)."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: Graph):
-        n = graph.n
-        if n == 0:
-            raise ValueError("a tree needs at least one vertex")
-        if graph.m != n - 1:
-            raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {graph.m}")
-        if graph.walk[1].count(-1) != 1:
-            raise ValueError("graph is not connected")
-        self.graph = graph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self.graph.adjacency
-
-    @property
-    def walk(self) -> Walk:
-        return self.graph.walk
-
-    def degree(self, v: int) -> int:
-        return self.graph.degree(v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
-
-    def __repr__(self) -> str:
-        return f"Tree(n={self.n}, edges={self.graph.edges()!r})"
-
-
 class Forest:
-    """A graph whose every component is a tree.
+    """A graph whose every component is a tree, with its walk.
 
-    The check counts: a graph is a forest exactly when m = n - c, where c
+    The constructor walks the graph once and keeps the result as ``walk``;
+    the check counts: a graph is a forest exactly when m = n - c, where c
     is the number of components, the roots of its walk. Components are
     numbered 0, 1, ... by their smallest vertex label; ``component`` maps
     each vertex to its component id and is built on first use.
     """
 
-    __slots__ = ("graph", "ncomponents", "_component")
+    __slots__ = ("graph", "n", "adjacency", "walk", "ncomponents", "_component")
 
     def __init__(self, graph: Graph):
-        order, parent = graph.walk
+        order, parent = rooted_order(graph.adjacency)
         roots = parent.count(-1)
         if graph.m != graph.n - roots:
             # name the first component whose degree sum exceeds 2(size - 1)
@@ -185,27 +132,24 @@ class Forest:
             heads = [v for v in order if parent[v] < 0]
             s = next(h for h, extra in zip(heads, surplus) if extra)
             raise ValueError(f"component containing vertex {s} has a cycle")
+        self._keep(graph, order, parent, roots)
+
+    def _keep(self, graph: Graph, order: list[int], parent: list[int], ncomponents: int) -> None:
         self.graph = graph
-        self.ncomponents = roots
+        self.n = graph.n
+        self.adjacency = graph.adjacency
+        self.walk: Walk = (tuple(order), tuple(parent))
+        self.ncomponents = ncomponents
         self._component: tuple[int, ...] | None = None
 
     @property
     def component(self) -> tuple[int, ...]:
         if self._component is None:
-            self._component = tuple(_component_ids(*self.graph.walk))
+            self._component = tuple(_component_ids(*self.walk))
         return self._component
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self.graph.adjacency
-
-    @property
-    def walk(self) -> Walk:
-        return self.graph.walk
+    def degree(self, v: int) -> int:
+        return len(self.adjacency[v])
 
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.
@@ -219,15 +163,42 @@ class Forest:
         out = []
         for verts in buckets:
             index = {old: new for new, old in enumerate(verts)}
-            adj = tuple(
-                tuple(index[u] for u in self.graph.adjacency[old]) for old in verts
-            )
+            adj = tuple(tuple(index[u] for u in self.adjacency[old]) for old in verts)
             g = Graph._from_adjacency(len(verts), adj)
             out.append((Tree(g), tuple(verts)))
         return out
 
     def __repr__(self) -> str:
         return f"Forest(n={self.n}, components={self.ncomponents})"
+
+
+class Tree(Forest):
+    """A connected acyclic Graph: a Forest with one component. Every Tree is
+    checked here: the edge count, then one root in its walk."""
+
+    __slots__ = ()
+
+    def __init__(self, graph: Graph):
+        n = graph.n
+        if n == 0:
+            raise ValueError("a tree needs at least one vertex")
+        if graph.m != n - 1:
+            raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {graph.m}")
+        order, parent = rooted_order(graph.adjacency)
+        if parent.count(-1) != 1:
+            raise ValueError("graph is not connected")
+        self._keep(graph, order, parent, 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.graph == other.graph
+
+    def __hash__(self) -> int:
+        return hash(self.graph)
+
+    def __repr__(self) -> str:
+        return f"Tree(n={self.n}, edges={self.graph.edges()!r})"
 
 
 def rooted_order(
@@ -273,13 +244,34 @@ def _component_ids(order: Sequence[int], parent: Sequence[int]) -> list[int]:
     return comp
 
 
+def _strict_int(token: str) -> int:
+    """``int`` of an optionally negative run of ASCII digits, with the
+    whitespace ``int`` allows around it; ValueError otherwise."""
+    token = token.strip()
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
+def _number_reader(text: str) -> Callable[[str], int]:
+    """The token-to-int function for ``text``: plain ``int`` unless the text
+    holds a non-ASCII character, ``_`` or ``+``, which ``int`` would read
+    as Unicode digits, digit separators or a sign. One scan of the whole
+    text, so plain input pays no check per token."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        return int
+    return _strict_int
+
+
 def parse_edge_list(data: bytes | str) -> Graph:
     """Parse the plain edge-list format.
 
     First line is the vertex count n (SizeLimitError above EDGE_LIST_MAX_N),
-    every following non-empty line is one edge "u v" with 0-based labels.
-    Each edge is validated once, here, not again by ``Graph``. Errors
-    report the offending line number.
+    every following non-empty line is one edge "u v" with 0-based labels,
+    each number written in ASCII decimal digits. Each edge is validated
+    once, here, not again by ``Graph``. Errors report the offending line
+    number.
     """
     if isinstance(data, bytes):
         try:
@@ -289,11 +281,12 @@ def parse_edge_list(data: bytes | str) -> Graph:
                 f"input is not valid UTF-8: cannot decode byte 0x{data[exc.start]:02x}"
                 f" at offset {exc.start}"
             ) from None
+    number = _number_reader(data)
     lines = data.split("\n")
     if not lines or not lines[0].strip():
         raise ParseError("missing vertex count", line=1)
     try:
-        n = int(lines[0].strip())
+        n = number(lines[0].strip())
     except ValueError:
         raise ParseError(f"vertex count is not an integer: {lines[0].strip()!r}", line=1) from None
     if n < 0:
@@ -309,7 +302,7 @@ def parse_edge_list(data: bytes | str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {stripped!r}", line=idx)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = number(parts[0]), number(parts[1])
         except ValueError:
             raise ParseError(f"non-integer label in {stripped!r}", line=idx) from None
         if not (0 <= u < n) or not (0 <= v < n):

@@ -22,17 +22,19 @@ Admissible child states given the vertex state:
 State costs are 0, 0, 1, 2 plus the children minima; state A is the usual
 "sum of min(A, C) plus the cheapest swap of one child to D". At a root only
 A, C, D are valid. One table covers a whole forest and is filled bottom-up
-along a walk (``graphs.rooted_order``): by default the graph's own
+along a walk (``graphs.rooted_order``): by default the forest's own
 ``walk``, which roots every component at its smallest vertex and which
-``Tree`` and ``Forest`` already made while validating, so the solvers do
-not walk the graph again. The number is the sum, over the component
-roots, of the best root state. A witness is read back top-down along the
-same walk: each vertex's state follows from its parent's state and its own
-four costs, with state A's D-child found in one pass beforehand. The
-exponential routes (a literal scan of all 3^n labelings, and a Gray-code
-scan over all 2^n placements of the 2s with the forced minimal completion)
-exist as independent ground truth for small graphs; both are plain Python,
-so the package has no runtime dependency.
+the ``Forest`` constructor (a ``Tree`` is a one-component ``Forest``)
+already made while validating, so the solvers do not walk the graph
+again. The number is the sum, over the component roots, of the best root
+state. A witness is read back top-down along the same walk: each vertex's
+state follows from its parent's state and its own four costs, with state
+A's D-child found in one pass beforehand. The
+exponential route, ``brute_force``, is a Gray-code scan over all 2^n
+placements of the 2s with the forced minimal completion, and a literal
+scan of all 3^n labelings (``_brute_ternary``) stays as its reference;
+both are independent ground truth for small graphs and plain Python, so
+the package has no runtime dependency.
 
 The set returned by ``forced_zero_set`` contains the vertices labeled 0 by
 every minimum-weight PRDF; "any" in the usual phrasing of that set is read
@@ -64,7 +66,7 @@ class Assignment:
     def weight(self) -> int:
         return sum(self.values)
 
-    def is_valid_on(self, g: Graph | Tree | Forest) -> bool:
+    def is_valid_on(self, g: Graph | Forest) -> bool:
         adj = g.adjacency
         if len(self.values) != len(adj):
             return False
@@ -78,33 +80,22 @@ class Assignment:
         return True
 
 
-def is_valid_prdf(g: Graph | Tree | Forest, values: Sequence[int]) -> bool:
+def is_valid_prdf(g: Graph | Forest, values: Sequence[int]) -> bool:
     """Definitional check: every 0-vertex has exactly one 2-neighbor."""
     return Assignment(tuple(values)).is_valid_on(g)
 
 
-@dataclass(frozen=True)
-class StateTable:
-    """Per-vertex costs of the four root-directed states, over a forest.
-
-    ``order`` and ``parent`` are the walk the table was filled along, as
-    given to ``_tables`` and not copied: usually the graph's shared
-    ``walk``, so neither may be changed. Costs at or above INFEASIBLE mean
-    the state cannot be completed (a leaf cannot be satisfied from below,
-    so its A entry is always INFEASIBLE).
+class StateTable(NamedTuple):
+    """Per-vertex costs of the four root-directed states, over a forest,
+    rooted as the walk ``_tables`` was given. Costs at or above INFEASIBLE
+    mean the state cannot be completed (a leaf cannot be satisfied from
+    below, so its A entry is always INFEASIBLE).
     """
 
-    order: Sequence[int]
-    parent: Sequence[int]
     a: list[int]
     b: list[int]
     c: list[int]
     d: list[int]
-
-    @property
-    def roots(self) -> list[int]:
-        """The component roots, in increasing label order."""
-        return [v for v, p in enumerate(self.parent) if p < 0]
 
 
 def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
@@ -140,7 +131,7 @@ def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
                 mbcd = dv
             d[p] += mbcd
             c[p] += mac if mac < dv else dv
-    return StateTable(order=order, parent=parent, a=a, b=b, c=c, d=d)
+    return StateTable(a, b, c, d)
 
 
 class _RootCosts(NamedTuple):
@@ -161,10 +152,10 @@ class _RootCosts(NamedTuple):
         return min(self.a[0], self.c[0], self.d[0])
 
 
-def _all_roots(x: Tree | Forest) -> _RootCosts:
+def _all_roots(x: Forest) -> _RootCosts:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
-    The down tables along the graph's walk give each vertex's side below
+    The down tables along the forest's walk give each vertex's side below
     its parent. One top-down pass adds the side above: for a vertex u with
     parent p, the four states of p with u's subtree cut away. The sums over
     a vertex's neighbours drop one neighbour by subtraction; the A state's
@@ -176,8 +167,8 @@ def _all_roots(x: Tree | Forest) -> _RootCosts:
     """
     adj = x.adjacency
     n = len(adj)
-    table = _tables(*x.walk)
-    parent = table.parent
+    order, parent = x.walk
+    table = _tables(order, parent)
     # What each side contributes to the vertex it hangs from, as in _tables:
     # min(A, C), min(A, C, D), min(B, C, D) and the swap D - min(A, C).
     # Index u is u's subtree for down_*, and p's side away from u for up_*.
@@ -199,7 +190,7 @@ def _all_roots(x: Tree | Forest) -> _RootCosts:
     full_c = [0] * n
     full_d = [0] * n
     deleted = [0] * n
-    for p in table.order:
+    for p in order:
         q = parent[p]
         if q >= 0:
             s_ac, s_acd, s_bcd = up_ac[p], up_acd[p], up_bcd[p]
@@ -238,18 +229,18 @@ def _all_roots(x: Tree | Forest) -> _RootCosts:
     return _RootCosts(a=full_a, c=full_c, d=full_d, deleted=deleted)
 
 
-def prd_number(x: Tree | Forest) -> int:
+def prd_number(x: Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    table = _tables(*x.walk)
-    a, c, d = table.a, table.c, table.d
-    return sum(min(a[v], c[v], d[v]) for v in table.roots)
+    order, parent = x.walk
+    a, _, c, d = _tables(order, parent)
+    return sum(min(a[v], c[v], d[v]) for v, p in enumerate(parent) if p < 0)
 
 
 # the label each state gives its vertex: A and B 0, C 1, D 2
 _STATE_LABEL = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((0, 0, 1, 2)))
 
 
-def optimal_assignment(x: Tree | Forest) -> Assignment:
+def optimal_assignment(x: Forest) -> Assignment:
     """One minimum-weight PRDF of a tree or forest, from one DP table. O(n).
 
     The labels of each component are an optimum of that component alone.
@@ -261,9 +252,8 @@ def optimal_assignment(x: Tree | Forest) -> Assignment:
     smallest vertex, and ties break toward the earlier state letter, then
     the lower child label.
     """
-    table = _tables(*x.walk)
-    a, b, c, d = table.a, table.b, table.c, table.d
-    parent = table.parent
+    order, parent = x.walk
+    a, b, c, d = _tables(order, parent)
     n = len(parent)
     swap = [INFEASIBLE] * n
     d_child = [-1] * n
@@ -275,7 +265,7 @@ def optimal_assignment(x: Tree | Forest) -> Assignment:
                 swap[p] = delta
                 d_child[p] = u
     state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D
-    for v in table.order:
+    for v in order:
         p = parent[v]
         above = state[p] if p >= 0 else 2
         av, cv = a[v], c[v]
@@ -317,7 +307,7 @@ def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
     return best if best < INFEASIBLE else float("inf")
 
 
-def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
+def forced_zero_set(x: Forest) -> frozenset[int]:
     """Vertices labeled 0 by every minimum-weight PRDF of a tree or forest.
 
     A vertex qualifies exactly when forcing any positive label on it costs
@@ -337,6 +327,8 @@ def forced_zero_set(x: Tree | Forest) -> frozenset[int]:
 # Exhaustive ground truth.
 
 def _brute_ternary(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
+    """Walk all 3^n labelings and keep the valid ones of least weight: the
+    literal reference ``brute_force``'s scan must match."""
     n = len(adj)
     best: int | None = None
     found: list[tuple[int, ...]] = []
@@ -419,28 +411,21 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def brute_force(
-    g: Graph | Tree | Forest,
-    enumerate_all: bool = False,
-    method: str = "subsets",
+    g: Graph | Forest, enumerate_all: bool = False
 ) -> tuple[int, list[Assignment] | None]:
     """Exhaustive minimum over every labeling of any graph, n <= 16.
 
-    ``method`` picks the route: "subsets" (the default) scans the 2^n
-    possible label-2 sets with the forced cheapest completion, and
-    "ternary" walks all 3^n labelings and keeps the valid ones, the literal
-    reference. Both routes return identical results; with ``enumerate_all``
-    the full list of minimum-weight labelings comes back sorted.
+    Scans the 2^n possible label-2 sets with the forced cheapest completion
+    (``_brute_two_sets``); ``_brute_ternary``, which walks all 3^n labelings
+    and keeps the valid ones, is the literal reference it must match. With
+    ``enumerate_all`` the full list of minimum-weight labelings comes back
+    sorted.
     """
     adj = g.adjacency
     n = len(adj)
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
-    if method == "ternary":
-        best, found = _brute_ternary(adj)
-    elif method == "subsets":
-        best, found = _brute_two_sets(adj)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    best, found = _brute_two_sets(adj)
     if not enumerate_all:
         return best, None
     return best, [Assignment(v) for v in sorted(found)]

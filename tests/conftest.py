@@ -37,6 +37,24 @@ def small_graphs(draw, min_n=1, max_n=9):
     return Graph(n, picks)
 
 
+# Graphs that are not trees: (graph, Tree's message, Forest's message, or
+# None when the graph is a forest). The empty graph; the wrong edge count,
+# too many and too few; a disconnected graph with m = n - 1; and cycles in
+# a later component, with m = n - 1 and without.
+NOT_TREES = [
+    (Graph(0, []), "a tree needs at least one vertex", None),
+    (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), "tree on 4 vertices must have 3 edges, got 4",
+     "component containing vertex 0 has a cycle"),
+    (Graph(4, [(0, 1), (2, 3)]), "tree on 4 vertices must have 3 edges, got 2", None),
+    (Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), "graph is not connected",
+     "component containing vertex 0 has a cycle"),
+    (Graph(6, [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]), "graph is not connected",
+     "component containing vertex 2 has a cycle"),
+    (Graph(7, [(0, 6), (2, 5), (5, 3), (3, 2), (3, 4)]),
+     "tree on 7 vertices must have 6 edges, got 5", "component containing vertex 2 has a cycle"),
+]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")
     lines = getattr(mod, "ACCEPTANCE_LINES", None)

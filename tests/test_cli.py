@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prdom.cli as cli
+import prdom.family
 import prdom.graphs
+from conftest import NOT_TREES
 from prdom import (
     Certificate,
     Step,
     Tree,
     canonical_form,
+    emit_edge_list,
     emit_graph6,
     forced_zero_set,
     grow,
@@ -398,6 +401,108 @@ def test_generate_steps_past_the_graph6_cap_exit_code(monkeypatch, capsys):
     )
 
 
+def test_generate_steps_past_the_byte_cap_exit_code(monkeypatch, capsys):
+    # 3 + 3 * 9459 = 28380 vertices: a graph6 line of 67116339 bytes, past 64 MiB
+    def no_emit(g):
+        raise AssertionError("emit_graph6 ran")
+
+    monkeypatch.setattr(cli, "emit_graph6", no_emit)
+    code, out, err = run_cli(["generate", "--steps", "9459"], "", monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "prdom: size limit: --steps 9459 writes a graph6 line of 67116339 bytes,"
+        " above the cap of 67108864\n"
+    )
+
+
+def test_generate_byte_cap_admits_a_line_of_exactly_the_cap(monkeypatch, capsys):
+    # --steps 20 builds 63 vertices: a 4-byte size field and 326 edge bytes
+    monkeypatch.setattr(cli, "GENERATE_MAX_BYTES", 330)
+    code, out, _ = run_cli(["generate", "--steps", "20"], "", monkeypatch, capsys)
+    assert code == 0 and len(out) == 330 + 1
+    monkeypatch.setattr(cli, "emit_graph6", None)
+    code, out, err = run_cli(["generate", "--steps", "21"], "", monkeypatch, capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        "prdom: size limit: --steps 21 writes a graph6 line of 362 bytes, above the cap of 330\n"
+    )
+
+
+@pytest.mark.parametrize(("g", "tree_message", "forest_message"), NOT_TREES)
+def test_stable_and_solve_name_why_the_input_is_refused(g, tree_message, forest_message,
+                                                          monkeypatch, capsys):
+    text = emit_edge_list(g)
+    code, out, err = run_cli(["stable"], text, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"prdom: input is not a tree: {tree_message}\n")
+    code, out, err = run_cli(["solve"], text, monkeypatch, capsys)
+    if forest_message is None:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out, err) == (2, "", f"prdom: input is not a forest: {forest_message}\n")
+
+
+# number forms that int() reads but the edge-list format does not: Unicode
+# digits, digit separators and a plus sign, in the count and in a label
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("\u0663\n\u0660 \u0661\n\u0661 \u0662\n", "line 1: vertex count is not an integer: '\u0663'"),
+        ("1_0\n0 1\n", "line 1: vertex count is not an integer: '1_0'"),
+        ("+3\n0 1\n", "line 1: vertex count is not an integer: '+3'"),
+        ("3\n+0 1\n1 2\n", "line 2: non-integer label in '+0 1'"),
+        ("11\n0 1\n1 1_0\n", "line 3: non-integer label in '1 1_0'"),
+        ("3\n0 1\n\u0661 2\n", "line 3: non-integer label in '\u0661 2'"),
+    ],
+)
+def test_edge_lists_take_ascii_decimal_numbers_only(text, message, monkeypatch, capsys):
+    code, out, err = run_cli(["solve"], text, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"prdom: parse error: {message}\n")
+
+
+def test_edge_lists_keep_reading_plain_numbers_beside_other_text(monkeypatch, capsys):
+    # a non-ASCII space turns on the per-token check, which still reads -1
+    # and 0 as numbers and refuses only the label's range
+    code, out, _ = run_cli(["solve"], "3\n0\u00a01\n1 2\n", monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["result"]["number"] == 2
+    code, _, err = run_cli(["solve"], "3\n0\u00a01\n-1 2\n", monkeypatch, capsys)
+    assert (code, err) == (2, "prdom: parse error: line 3: label outside 0..2 in '-1 2'\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        ("P3\n\u0660: \u0663 \u0664 \u0665\n", "\u0660: \u0663 \u0664 \u0665"),
+        ("P3\n0: 3 4 5\n+2: 6 7 8\n", "+2: 6 7 8"),
+        ("P3\n0: 3 4 5\n2: 6 7 8_0\n", "2: 6 7 8_0"),
+    ],
+)
+def test_certificates_take_ascii_decimal_numbers_only(text, line, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert code == 1
+    step = text.splitlines().index(line)
+    assert json.loads(out)["result"] == {
+        "certificate_path": str(path),
+        "valid": False,
+        "error": f"step line {step}: non-integer label in {line!r}",
+    }
+
+
+def test_certificate_length_is_capped_before_replay(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(prdom.family, "CERTIFICATE_MAX_STEPS", 3)
+    steps = ["0: 3 4 5", "3: 6 7 8", "6: 9 10 11", "9: 12 13 14"]
+    path = tmp_path / "cert.txt"
+    path.write_text("\n".join(["P3"] + steps[:3]) + "\n")
+    code, out, _ = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["result"]["steps"] == 3
+    path.write_text("\n".join(["P3"] + steps) + "\n")
+    monkeypatch.setattr(cli, "replay_certificate", None)
+    code, out, err = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert (code, out, err) == (3, "", "prdom: size limit: certificates capped at 3 steps, got 4\n")
+
+
 @pytest.mark.parametrize(
     ("suite", "max_n"), [("theorem", "2"), ("lemmas", "0"), ("observation", "1"), ("all", "-3")]
 )
@@ -548,7 +653,7 @@ def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
         calls.append(1)
         return walk(*args, **kwargs)
 
-    # every prdom module that imports the walk (the solver reads Graph.walk)
+    # every prdom module that imports the walk (the solvers read Forest.walk)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "prdom" and hasattr(module, "rooted_order"):
             monkeypatch.setattr(module, "rooted_order", counting)

@@ -177,6 +177,18 @@ def test_certificate_parse_errors():
         parse_certificate("P3\n0: 3 4\n")      # short triple
     with pytest.raises(InvalidStepError):
         parse_certificate("P3\nx: 3 4 5\n")    # non-integer
+    for line in ("+0: 3 4 5", "0: 3 4 5_0", "\u0660: 3 4 5", "0: \u0663 4 5"):
+        with pytest.raises(InvalidStepError, match="step line 1: non-integer label"):
+            parse_certificate(f"P3\n{line}\n")
+
+
+def test_certificate_length_is_capped(monkeypatch):
+    monkeypatch.setattr(family, "CERTIFICATE_MAX_STEPS", 2)
+    text = serialize_certificate(random_certificate(2, random.Random(1)))
+    assert len(parse_certificate(text).steps) == 2
+    with pytest.raises(SizeLimitError, match="capped at 2 steps, got 3"):
+        # the cap counts lines before any of them is read as a step
+        parse_certificate(text + "not a step\n")
 
 
 def test_check_stable_profile():

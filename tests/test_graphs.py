@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_forests, labeled_trees, small_graphs
+from conftest import NOT_TREES, labeled_forests, labeled_trees, small_graphs
 import prdom
 import prdom.solver
 from prdom import (
@@ -15,13 +15,16 @@ from prdom import (
     diameter,
     emit_edge_list,
     enumerate_free_trees,
+    forced_zero_set,
     leaves_of,
     longest_path,
     make_double_star,
     make_path,
     make_spider,
     make_star,
+    optimal_assignment,
     parse_edge_list,
+    prd_number,
     remove_vertex,
     tree_from_prufer,
 )
@@ -54,7 +57,10 @@ def test_parse_edge_list_star_matches_constructor():
         ("3\n2 2", 2),          # self-loop
         ("3\n0 1 2", 2),        # malformed line
         ("3\nx y", 2),          # non-integer
+        ("3\n0 1\n+1 2", 3),   # signed
+        ("3\n0 \u0661", 2),     # non-ASCII digit
         ("zz", 1),              # bad count
+        ("1_0", 1),             # digit separator
     ],
 )
 def test_parse_edge_list_errors_carry_line_numbers(text, line):
@@ -334,18 +340,52 @@ def test_forest_check_matches_the_per_vertex_loop_on_forests(f, data):
 
 
 def test_tree_and_forest_fill_the_shared_walk():
+    # the walk belongs to the Forest; the Graph holds only its adjacency
     g = Graph(5, [(3, 1), (1, 4), (0, 2)])
-    assert g._walk is None
+    assert Graph.__slots__ == ("n", "adjacency") and not hasattr(g, "walk")
     f = Forest(g)
-    assert g._walk is not None and f.walk is g.walk
-    assert g.walk == ((0, 2, 1, 3, 4), (-1, -1, 0, 1, 1))
+    assert f.walk == ((0, 2, 1, 3, 4), (-1, -1, 0, 1, 1))
+    assert (f.n, f.adjacency, f.ncomponents) == (g.n, g.adjacency, 2)
     t = Tree(Graph(3, [(0, 1), (1, 2)]))
-    assert t.graph._walk == ((0, 1, 2), (-1, 0, 1))
+    assert t.walk == ((0, 1, 2), (-1, 0, 1)) and t.ncomponents == 1
+    assert issubclass(Tree, Forest) and Tree.__slots__ == ()
 
 
 def test_every_built_tree_is_validated():
-    # the generators and component_trees go through Tree(), which fills the walk
+    # the generators and component_trees go through Tree(), which keeps the walk
     built = [tree_from_prufer([3, 3, 1]), *enumerate_free_trees(7)]
     built += [t for t, _ in remove_vertex(make_spider([2, 1, 3]), 0).component_trees()]
     for t in built:
-        assert t.graph._walk is not None and t.walk[1].count(-1) == 1
+        order, parent = rooted_order(t.adjacency)
+        assert t.walk == (tuple(order), tuple(parent)) and t.walk[1].count(-1) == 1
+
+
+@pytest.mark.parametrize("cls", [Tree, Forest])
+def test_tree_and_forest_walk_the_graph_once(cls, monkeypatch):
+    calls = []
+    walk = prdom.graphs.rooted_order
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(prdom.graphs, "rooted_order", counting)
+    x = cls(Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]))
+    assert len(calls) == 1
+    # the solvers and the component ids read the kept walk
+    for solve in (prd_number, optimal_assignment, forced_zero_set):
+        solve(x)
+    assert len(x.component) == 6 and len(calls) == 1
+
+
+@pytest.mark.parametrize(("g", "tree_message", "forest_message"), NOT_TREES)
+def test_tree_and_forest_rejection_messages(g, tree_message, forest_message):
+    with pytest.raises(ValueError) as info:
+        Tree(g)
+    assert str(info.value) == tree_message
+    if forest_message is None:
+        assert Forest(g).n == g.n
+    else:
+        with pytest.raises(ValueError) as info:
+            Forest(g)
+        assert str(info.value) == forest_message

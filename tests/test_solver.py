@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from prdom import (
     Forest,
     Graph,
     SizeLimitError,
+    StateTable,
     Tree,
     brute_force,
     canonical_forms,
@@ -96,11 +98,17 @@ def test_brute_force_accepts_cyclic_graphs():
     assert all(o.is_valid_on(triangle) for o in optima)
 
 
+def _brute_ternary_optima(g):
+    """The literal 3^n scan's number and sorted optima, as brute_force gives them."""
+    best, found = _brute_ternary(g.adjacency)
+    return best, [Assignment(v) for v in sorted(found)]
+
+
 def test_brute_force_methods_agree_exhaustively():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
-            wt, at = brute_force(t, enumerate_all=True, method="ternary")
-            ws, as_ = brute_force(t, enumerate_all=True, method="subsets")
+            wt, at = _brute_ternary_optima(t)
+            ws, as_ = brute_force(t, enumerate_all=True)
             assert wt == ws
             assert at == as_
 
@@ -108,9 +116,7 @@ def test_brute_force_methods_agree_exhaustively():
 @given(small_graphs(max_n=8))
 @settings(max_examples=150, deadline=None)
 def test_brute_force_methods_agree_on_graphs(g):
-    wt, at = brute_force(g, enumerate_all=True, method="ternary")
-    ws, as_ = brute_force(g, enumerate_all=True, method="subsets")
-    assert (wt, at) == (ws, as_)
+    assert _brute_ternary_optima(g) == brute_force(g, enumerate_all=True)
 
 
 def test_dp_matches_brute_force_on_all_small_trees():
@@ -263,6 +269,11 @@ def test_all_roots_matches_a_table_per_root(t):
         assert costs.c[v] == 1 + costs.deleted[v]
 
 
+def test_state_table_holds_only_costs_and_brute_force_one_route():
+    assert StateTable._fields == ("a", "b", "c", "d")
+    assert list(inspect.signature(brute_force).parameters) == ["g", "enumerate_all"]
+
+
 def test_state_table_leaf_base_case():
     table = _tables(*make_path(4).walk)
     leaf = 3  # the far end is a leaf of the rooted tree
@@ -275,11 +286,12 @@ def test_state_table_leaf_base_case():
 @given(labeled_trees(max_n=20))
 @settings(max_examples=100, deadline=None)
 def test_state_table_bounds(t):
-    table = _tables(*t.walk)
+    order, parent = t.walk
+    table = _tables(order, parent)
     # subtree sizes from the parent array
     size = [1] * t.n
-    for v in reversed(table.order):
-        p = table.parent[v]
+    for v in reversed(order):
+        p = parent[v]
         if p >= 0:
             size[p] += size[v]
     for v in range(t.n):
@@ -343,14 +355,13 @@ def test_witness_of_many_isolated_vertices_is_all_ones():
 # replaced, kept as the reference they must match element for element.
 
 
-def _reconstruct(table, adj, root, root_state, values):
+def _reconstruct(table, parent, adj, root, root_state, values):
     """Walk the table back into labels for ``root``'s component, deterministically.
 
     Ties prefer the earlier state letter, then the lower child label (the
     adjacency order is ascending, so first-found wins).
     """
     a, b, c, d = table.a, table.b, table.c, table.d
-    parent = table.parent
     stack = [(root, root_state)]
     while stack:
         v, state = stack.pop()
@@ -395,14 +406,15 @@ def _reconstruct(table, adj, root, root_state, values):
 
 def _stack_witness(x):
     adj = x.adjacency
-    table = _tables(*rooted_order(adj))
+    order, parent = rooted_order(adj)
+    table = _tables(order, parent)
     values = [0] * len(adj)
-    for root in table.roots:
+    for root in (v for v, p in enumerate(parent) if p < 0):
         best = None
         for state, cost in (("A", table.a[root]), ("C", table.c[root]), ("D", table.d[root])):
             if best is None or cost < best[1]:
                 best = (state, cost)
-        _reconstruct(table, adj, root, best[0], values)
+        _reconstruct(table, parent, adj, root, best[0], values)
     return tuple(values)
 
 
