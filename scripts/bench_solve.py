@@ -107,6 +107,44 @@ def parse_side(text: str) -> tuple[str, Path]:
     return label, Path(src)
 
 
+def summary(samples: list[tuple[float, float, str]]) -> dict:
+    """Median and per-run wall seconds, the largest peak RSS and the
+    distinct report digests of one command's runs on one side."""
+    return {
+        "wall_s": round(statistics.median(r[0] for r in samples), 3),
+        "wall_s_runs": [round(r[0], 3) for r in samples],
+        "peak_rss_mb": round(max(r[1] for r in samples), 1),
+        "report_sha256": sorted({r[2] for r in samples}),
+    }
+
+
+def machine() -> dict:
+    return {
+        "platform": platform.platform(),
+        "processor": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
+def check_sides(prog: str, sides: dict[str, Path], out: Path) -> bool:
+    """True when every side has a prdom source and ``out`` holds no other
+    sides; otherwise say why on stderr."""
+    for label, src in sides.items():
+        if not (src / "prdom" / "cli.py").is_file():
+            print(f"{prog}: no prdom source at {src} for {label}", file=sys.stderr)
+            return False
+    if out.is_file():
+        held = set(json.loads(out.read_text()).get("results", {}))
+        if held != set(sides):
+            print(
+                f"{prog}: {out} holds sides {sorted(held)}, not {sorted(sides)};"
+                " pass --out to write this run elsewhere",
+                file=sys.stderr,
+            )
+            return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -119,19 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_solve.json", help="result file")
     args = parser.parse_args(argv)
     sides = dict(args.side or [("current", ROOT / "src")])
-    for label, src in sides.items():
-        if not (src / "prdom" / "cli.py").is_file():
-            print(f"bench_solve: no prdom source at {src} for {label}", file=sys.stderr)
-            return 2
-    if args.out.is_file():
-        held = set(json.loads(args.out.read_text()).get("results", {}))
-        if held != set(sides):
-            print(
-                f"bench_solve: {args.out} holds sides {sorted(held)}, not {sorted(sides)};"
-                " pass --out to write this run elsewhere",
-                file=sys.stderr,
-            )
-            return 2
+    if not check_sides("bench_solve", sides, args.out):
+        return 2
 
     results: dict = {label: {} for label in sides}
     digests: dict = {}
@@ -149,22 +176,13 @@ def main(argv: list[str] | None = None) -> int:
                     for label, src in sides.items():
                         runs[label].append(run_child(src, ["solve", "--input", str(file), *flags]))
                 for label, samples in runs.items():
-                    entry = {
-                        "wall_s": round(statistics.median(r[0] for r in samples), 3),
-                        "wall_s_runs": [round(r[0], 3) for r in samples],
-                        "peak_rss_mb": round(max(r[1] for r in samples), 1),
-                        "report_sha256": sorted({r[2] for r in samples}),
-                    }
+                    entry = summary(samples)
                     results[label].setdefault(name, {})[command] = entry
                     print(f"{label} {name} {command}: {entry}", file=sys.stderr)
 
     record = {
         "date": datetime.date.today().isoformat(),
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.machine(),
-            "cpus": len(os.sched_getaffinity(0)),
-        },
+        "machine": machine(),
         "python": platform.python_version(),
         "workload": {
             "vertices": N,

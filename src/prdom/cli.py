@@ -221,7 +221,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 f" above the cap of {GENERATE_MAX_BYTES}"
             )
         certificates = [random_certificate(args.steps, random.Random(args.seed))]
-    trees = (replay_certificate(c, check_stability=False) for c in certificates)
+    trees = (replay_certificate(c) for c in certificates)
     _write_output(args, "".join(emit_graph6(t.graph).decode("ascii") + "\n" for t in trees))
     return EXIT_OK
 

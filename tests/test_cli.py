@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import prdom.cli as cli
 import prdom.family
 import prdom.graphs
-from conftest import NOT_TREES
+from conftest import NOT_TREES, shuffled_member
 from prdom import (
     Certificate,
     Step,
@@ -488,6 +488,28 @@ def test_certificates_take_ascii_decimal_numbers_only(text, line, tmp_path, monk
         "valid": False,
         "error": f"step line {step}: non-integer label in {line!r}",
     }
+
+
+def test_recognized_certificates_replay_past_a_thousand_steps(tmp_path, monkeypatch, capsys):
+    member = shuffled_member(1001, random.Random(2))
+    tree_path, cert_path = tmp_path / "tree.txt", tmp_path / "cert.txt"
+    tree_path.write_text(emit_edge_list(member.graph))
+    code, out, _ = run_cli(
+        ["recognize", "--input", str(tree_path), "--emit-certificate", str(cert_path)],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["result"]["steps"] == 1001
+    code, out, _ = run_cli(
+        ["verify", "--certificate", str(cert_path), "--input", str(tree_path)],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["valid"], result["steps"], result["matches_input"]) == (True, 1001, True)
 
 
 def test_certificate_length_is_capped_before_replay(tmp_path, monkeypatch, capsys):

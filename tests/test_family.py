@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import prdom
 import prdom.cli as cli
 import prdom.family as family
-import prdom.graphs as graphs
 import prdom.solver as solver
 import prdom.sweeps as sweeps
-from conftest import labeled_trees
+from conftest import labeled_trees, shuffled_member
 from prdom import (
     Certificate,
     FamilyIndex,
@@ -24,7 +23,6 @@ from prdom import (
     canonical_form,
     check_stable_profile,
     delete_vertices,
-    diameter,
     enumerate_family,
     enumerate_free_trees,
     forced_zero_set,
@@ -41,6 +39,7 @@ from prdom import (
     stability_report,
 )
 from prdom.family import random_certificate
+from prdom.stability import StabilityReport
 
 
 def test_grow_p3_at_leaf_gives_p6():
@@ -121,11 +120,15 @@ def test_recognize_rejects_double_star():
     assert not recognize(make_double_star(3, 3)).accepted
 
 
-def test_recognize_names_a_diameter_below_four():
-    for n in (6, 9, 12):
-        for t in enumerate_free_trees(n):
-            if diameter(t) < 4:
-                assert recognize(t).reason == "diameter below 4"
+def test_recognize_names_the_failing_path_vertex():
+    fork = Tree(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]))
+    table = [
+        (make_star(5), "second path vertex degree is not 2"),
+        (make_double_star(1, 3), "third path vertex degree is not 2"),
+        (fork, "anchor is not forced-zero after peeling"),
+    ]
+    for t, reason in table:
+        assert tuple(recognize(t)) == (False, None, reason)
 
 
 def test_recognition_matches_family_membership_exhaustively():
@@ -157,6 +160,62 @@ def test_replay_rejects_wrong_labels():
     bad = Certificate(steps=(Step(u=0, added=(4, 5, 6)),))
     with pytest.raises(InvalidStepError):
         replay_certificate(bad)
+
+
+def _replay_per_step(c):
+    """Replay that checks every intermediate tree for stability: the
+    reference for the single check at the end."""
+    edges = [(0, 1), (1, 2)]
+    forced = {0, 2}
+    for i, step in enumerate(c.steps):
+        n = 3 + 3 * i
+        if step.added != (n, n + 1, n + 2):
+            raise InvalidStepError(
+                f"step {i}: expected new labels {(n, n + 1, n + 2)}, got {step.added}"
+            )
+        if not (0 <= step.u < n):
+            raise InvalidStepError(f"step {i}: vertex {step.u} outside 0..{n - 1}")
+        if step.u not in forced:
+            raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
+        edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
+        forced.update((n, n + 2))
+        if not family.stability_report(Tree(Graph(n + 3, edges))).stable:
+            raise InvalidStepError(f"step {i}: intermediate tree is not stable")
+    return Tree(Graph(c.order, edges))
+
+
+def test_replay_checks_stability_once(monkeypatch):
+    cert = random_certificate(300, random.Random(11))
+    calls = []
+
+    def counting(t):
+        calls.append(t.n)
+        return stability_report(t)
+
+    monkeypatch.setattr(family, "stability_report", counting)
+    t = replay_certificate(cert)
+    assert calls == [903]
+    assert t == _replay_per_step(cert)
+    assert len(calls) == 1 + 300  # the reference checks every step
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 150, 299, 300, 301])
+def test_replay_names_the_first_unstable_step(k, monkeypatch):
+    # every tree of order 3 + 3k or more reads as unstable: the tree after
+    # step k - 1 is the first
+    monkeypatch.setattr(
+        family, "stability_report", lambda t: StabilityReport(0, (int(t.n >= 3 + 3 * k),))
+    )
+    cert = random_certificate(300, random.Random(k))
+    if k > 300:
+        assert replay_certificate(cert) == _replay_per_step(cert)
+        return
+    with pytest.raises(InvalidStepError) as reference:
+        _replay_per_step(cert)
+    with pytest.raises(InvalidStepError) as info:
+        replay_certificate(cert)
+    assert str(info.value) == str(reference.value)
+    assert str(info.value) == f"step {k - 1}: intermediate tree is not stable"
 
 
 def test_certificate_serialization_round_trip():
@@ -204,7 +263,7 @@ def test_growth_preserves_stability_exhaustively():
     # the grown 12-vertex-or-smaller tree must again be stable
     for n in (3, 6, 9):
         for cert in enumerate_family(n).members.values():
-            t = replay_certificate(cert, check_stability=False)
+            t = replay_certificate(cert)
             for u in sorted(forced_zero_set(t)):
                 assert stability_report(grow(t, u)).stable
 
@@ -217,7 +276,7 @@ def test_random_walks_stay_in_the_family():
     assert t.n == 21
     r = recognize(t)
     assert r.accepted
-    rebuilt = replay_certificate(r.certificate, check_stability=False)
+    rebuilt = replay_certificate(r.certificate)
     assert canonical_form(rebuilt) == canonical_form(t)
 
 
@@ -245,9 +304,9 @@ def test_pendant_p3_invariance_on_random_trees(t):
 
 
 def _recognize_per_peel(t):
-    """The recognizer with a fresh forced-zero pass on every peeled tree and
-    the isomorphism rebuilt from each relabelled snapshot: the oracle for the
-    carried set."""
+    """The diameter peel, with a fresh forced-zero pass on every peeled tree
+    and the isomorphism rebuilt from each relabelled snapshot: the oracle for
+    the greedy peel's decisions and for the carried set."""
     if t.n % 3 != 0:
         return (False, None, "order not a multiple of 3")
     peels = []
@@ -281,10 +340,31 @@ def _recognize_per_peel(t):
     return (True, Certificate(steps=tuple(steps)), None)
 
 
+REASONS = {
+    "order not a multiple of 3",
+    "second path vertex degree is not 2",
+    "third path vertex degree is not 2",
+    "anchor is not forced-zero after peeling",
+}
+
+
+def _check_against_the_oracle(t):
+    """The greedy peel decides as the diameter peel does; it gives a reason
+    exactly on rejection, and its certificate rebuilds the input."""
+    result = recognize(t)
+    assert result.accepted == _recognize_per_peel(t)[0]
+    if result.accepted:
+        assert result.reason is None
+        assert canonical_form(replay_certificate(result.certificate)) == canonical_form(t)
+    else:
+        assert result.certificate is None and result.reason in REASONS
+    return result
+
+
 def test_recognize_matches_the_per_peel_oracle_exhaustively():
     for n in range(1, 16):
         for t in enumerate_free_trees(n):
-            assert tuple(recognize(t)) == _recognize_per_peel(t)
+            _check_against_the_oracle(t)
 
 
 @st.composite
@@ -292,7 +372,7 @@ def shuffled_members(draw, max_steps=30):
     cert = random_certificate(
         draw(st.integers(0, max_steps)), random.Random(draw(st.integers(0, 2**32)))
     )
-    t = replay_certificate(cert, check_stability=False)
+    t = replay_certificate(cert)
     perm = draw(st.permutations(range(t.n)))
     return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
 
@@ -300,52 +380,36 @@ def shuffled_members(draw, max_steps=30):
 @given(shuffled_members())
 @settings(max_examples=100, deadline=None)
 def test_recognize_matches_the_oracle_on_shuffled_members(t):
-    result = recognize(t)
-    assert result.accepted
-    assert tuple(result) == _recognize_per_peel(t)
+    assert _check_against_the_oracle(t).accepted
 
 
 @pytest.mark.parametrize(("steps", "seed"), [(100, 0), (200, 1)])
 def test_recognize_matches_the_oracle_on_long_shuffled_members(steps, seed):
-    rng = random.Random(seed)
-    t = replay_certificate(random_certificate(steps, rng), check_stability=False)
-    perm = list(range(t.n))
-    rng.shuffle(perm)
-    t = Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
-    result = recognize(t)
-    assert result.accepted
-    assert tuple(result) == _recognize_per_peel(t)
+    assert _check_against_the_oracle(shuffled_member(steps, random.Random(seed))).accepted
 
 
 def test_recognize_peels_the_input_in_place(monkeypatch):
-    # three sweeps per peel over the input's own labels: no relabelled copy
-    # and no longest-path descent
-    t = replay_certificate(random_certificate(300, random.Random(4)), check_stability=False)
-    calls = []
-    walk = graphs.rooted_order
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return walk(*args, **kwargs)
+    # a worklist over the input's own labels: no walk, no diameter sweep,
+    # no relabelled copy and no longest-path descent
+    t = replay_certificate(random_certificate(300, random.Random(4)))
+    large = shuffled_member(10_000, random.Random(5))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("recognize built a relabelled copy or a whole path")
+        raise AssertionError("recognize walked the tree or built a relabelled copy")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "prdom":
-            if hasattr(module, "rooted_order"):
-                monkeypatch.setattr(module, "rooted_order", counting)
-            for helper in ("delete_vertices", "longest_path"):
+            for helper in ("rooted_order", "_periphery", "longest_path", "delete_vertices"):
                 if hasattr(module, helper):
                     monkeypatch.setattr(module, helper, forbidden)
     assert recognize(t).accepted
-    assert len(calls) == 3 * 300
+    assert recognize(large).accepted
 
 
 @given(labeled_trees(min_n=3, max_n=45))
 @settings(max_examples=100, deadline=None)
 def test_recognize_matches_the_oracle_on_random_trees(t):
-    assert tuple(recognize(t)) == _recognize_per_peel(t)
+    _check_against_the_oracle(t)
 
 
 def _family_closure_oracle(n):

@@ -28,7 +28,7 @@ from prdom import (
     remove_vertex,
     tree_from_prufer,
 )
-from prdom.graphs import EDGE_LIST_MAX_N, _bfs_distances, _periphery, rooted_order
+from prdom.graphs import EDGE_LIST_MAX_N, _bfs_distances, rooted_order
 
 
 def test_parse_edge_list_p3():
@@ -171,12 +171,10 @@ def test_distances_and_periphery_among_isolated_vertices():
     adj = [(1,), (0, 2), (1, 3), (2,), (), ()]
     assert _bfs_distances(adj, 0) == [0, 1, 2, 3, 0, 0]
     assert _bfs_distances(adj, 2) == [2, 1, 0, 1, 0, 0]
-    assert _periphery(adj) == (3, 0)
     # isolated 0 and 5 around the spider 2-1-3-4, 3-6-7 (centre 3)
     adj = [(), (2, 3), (1,), (1, 4, 6), (3,), (), (3, 7), (6,)]
     assert _bfs_distances(adj, 0) == [0, 0, 1, 1, 2, 0, 2, 3]
     assert _bfs_distances(adj, 7) == [0, 3, 4, 2, 3, 0, 1, 0]
-    assert _periphery(adj) == (4, 2)
     # two components with edges: the second counts from its own root 4
     assert _bfs_distances([(1,), (0, 2), (1,), (), (5,), (4,)], 0) == [0, 1, 2, 0, 0, 1]
 
