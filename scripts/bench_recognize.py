@@ -31,6 +31,7 @@ import datetime
 import json
 import platform
 import random
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -94,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     sides = dict(args.side or [("current", ROOT / "src")])
     if not check_sides("bench_recognize", sides, args.out):
         return 2
+    # SIGTERM unwinds like an exception, so a running child is killed and reaped
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     rng = random.Random(SEED)
     results: dict = {label: {} for label in sides}

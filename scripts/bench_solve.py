@@ -36,6 +36,7 @@ import json
 import os
 import platform
 import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -86,7 +87,13 @@ def run_child(src: Path, argv: list[str]) -> tuple[float, float, str]:
             stdout=out,
             stderr=err,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            # an interrupt or SIGTERM must not leave the child running
+            proc.kill()
+            proc.wait()
+            raise
         wall = time.perf_counter() - start
         proc.returncode = code = os.waitstatus_to_exitcode(status)
         if code != 0:
@@ -159,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     sides = dict(args.side or [("current", ROOT / "src")])
     if not check_sides("bench_solve", sides, args.out):
         return 2
+    # SIGTERM unwinds like an exception, so a running child is killed and reaped
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     results: dict = {label: {} for label in sides}
     digests: dict = {}

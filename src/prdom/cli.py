@@ -23,6 +23,7 @@ import json
 import random
 import sys
 import time
+from typing import TypeVar
 
 from . import __version__
 from .canonical import canonical_form, canonical_forms
@@ -35,8 +36,8 @@ from .family import (
     replay_certificate,
     serialize_certificate,
 )
-from .graph6 import GRAPH6_MAX_N, emit_graph6, parse_graph6
-from .graphs import Forest, Graph, ParseError, SizeLimitError, Tree, parse_edge_list
+from .graph6 import GRAPH6_MAX_N, emit_graph6, graph6_length, parse_graph6
+from .graphs import Forest, ParseError, SizeLimitError, Tree, parse_edge_list
 from .solver import forced_zero_set, optimal_assignment, prd_number
 from .stability import stability_report
 from .sweeps import (
@@ -56,6 +57,8 @@ EXIT_INTERNAL = 4
 
 # generate refuses, before any work, a member whose graph6 line is longer
 GENERATE_MAX_BYTES = 64 << 20
+
+F = TypeVar("F", bound=Forest)
 
 
 class _UsageError(ValueError):
@@ -79,7 +82,8 @@ def _read_text(path: str | None) -> str:
         ) from None
 
 
-def _parse_input(args: argparse.Namespace) -> Graph:
+def _parse_input(args: argparse.Namespace, cls: type[F]) -> F:
+    """The input graph, validated as a ``cls`` (a Forest or a Tree)."""
     text = _read_text(args.input)
     if args.format == "graph6":
         lines = [line for line in text.splitlines() if line.strip()]
@@ -87,22 +91,13 @@ def _parse_input(args: argparse.Namespace) -> Graph:
             raise ParseError("empty graph6 input")
         if len(lines) > 1:
             raise ParseError("expected a single graph6 line")
-        return parse_graph6(lines[0].strip())
-    return parse_edge_list(text)
-
-
-def _as_forest(g: Graph) -> Forest:
+        g = parse_graph6(lines[0].strip())
+    else:
+        g = parse_edge_list(text)
     try:
-        return Forest(g)
+        return cls(g)
     except ValueError as exc:
-        raise _UsageError(f"input is not a forest: {exc}") from None
-
-
-def _as_tree(g: Graph) -> Tree:
-    try:
-        return Tree(g)
-    except ValueError as exc:
-        raise _UsageError(f"input is not a tree: {exc}") from None
+        raise _UsageError(f"input is not a {cls.__name__.lower()}: {exc}") from None
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -131,14 +126,14 @@ def _input_info(x: Forest) -> dict:
     return {
         "digest": "sha256:" + hashlib.sha256(b"|".join(sorted(forms))).hexdigest(),
         "n": x.n,
-        "edges": x.graph.m,
+        "edges": x.m,
         "components": len(forms),
     }
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    forest = _as_forest(_parse_input(args))
+    forest = _parse_input(args, Forest)
     # a witness's weight is the number, so it needs no second DP table
     witness = optimal_assignment(forest) if args.witness else None
     result: dict = {"number": prd_number(forest) if witness is None else witness.weight}
@@ -159,7 +154,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_stable(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    tree = _as_tree(_parse_input(args))
+    tree = _parse_input(args, Tree)
     report = stability_report(tree)
     _report(
         args,
@@ -174,7 +169,7 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    tree = _as_tree(_parse_input(args))
+    tree = _parse_input(args, Tree)
     outcome = recognize(tree)
     result = {
         "accepted": outcome.accepted,
@@ -213,8 +208,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise SizeLimitError(
                 f"--steps {args.steps} builds more than the graph6 cap of {GRAPH6_MAX_N} vertices"
             )
-        # the size field, then the n(n-1)/2 edge bits six to a byte
-        size = (1 if n < 63 else 4) + (n * (n - 1) // 2 + 5) // 6
+        size = graph6_length(n)
         if size > GENERATE_MAX_BYTES:
             raise SizeLimitError(
                 f"--steps {args.steps} writes a graph6 line of {size} bytes,"
@@ -222,7 +216,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             )
         certificates = [random_certificate(args.steps, random.Random(args.seed))]
     trees = (replay_certificate(c) for c in certificates)
-    _write_output(args, "".join(emit_graph6(t.graph).decode("ascii") + "\n" for t in trees))
+    _write_output(args, "".join(emit_graph6(t).decode("ascii") + "\n" for t in trees))
     return EXIT_OK
 
 
@@ -240,7 +234,7 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
         return EXIT_PROPERTY_FAILURE
     result.update({"valid": True, "steps": len(cert.steps), "order": rebuilt.n})
     if args.input:
-        tree = _as_tree(_parse_input(args))
+        tree = _parse_input(args, Tree)
         matches = canonical_form(tree) == canonical_form(rebuilt)
         result["matches_input"] = matches
     _report(args, "verify", {"certificate": True, "format": args.format}, None, result, started)

@@ -47,6 +47,12 @@ FAMILY_MAX_N = 18
 # (2 shared x86-64 cores, Python 3.11)
 CERTIFICATE_MAX_STEPS = (EDGE_LIST_MAX_N - 3) // 3
 
+# the reasons ``recognize`` gives for a rejection
+ORDER_NOT_MULTIPLE_OF_3 = "order not a multiple of 3"
+SECOND_NOT_DEGREE_2 = "second path vertex degree is not 2"
+THIRD_NOT_DEGREE_2 = "third path vertex degree is not 2"
+ANCHOR_NOT_FORCED_ZERO = "anchor is not forced-zero after peeling"
+
 
 class InvalidStepError(ValueError):
     """A certificate step that the construction rules reject."""
@@ -191,7 +197,7 @@ def recognize(t: Tree) -> RecognitionResult:
     reason.
     """
     if t.n % 3 != 0:
-        return RecognitionResult(False, None, "order not a multiple of 3")
+        return RecognitionResult(False, None, ORDER_NOT_MULTIPLE_OF_3)
     forced = forced_zero_set(t) if t.n > 3 else frozenset()
     adj = t.adjacency
     degree = list(map(len, adj))
@@ -202,12 +208,12 @@ def recognize(t: Tree) -> RecognitionResult:
         """Why the pendant path that leaf x1 ends cannot be peeled, or None."""
         x2 = label_sum[x1]
         if degree[x2] != 2:
-            return "second path vertex degree is not 2"
+            return SECOND_NOT_DEGREE_2
         x3 = label_sum[x2] - x1  # the other neighbor
         if degree[x3] != 2:
-            return "third path vertex degree is not 2"
+            return THIRD_NOT_DEGREE_2
         if label_sum[x3] - x2 not in forced:
-            return "anchor is not forced-zero after peeling"
+            return ANCHOR_NOT_FORCED_ZERO
         return None
 
     peels: list[tuple[int, int, int, int]] = []

@@ -15,22 +15,24 @@ GRAPH6_MAX_N = 258047
 _PLUS_63 = bytes((b + 63) & 0xFF for b in range(256))
 
 
+def graph6_length(n: int) -> int:
+    """Bytes in the graph6 token of an n-vertex graph: the size field, then
+    the n(n-1)/2 edge bits six to a byte."""
+    return (1 if n < 63 else 4) + (n * (n - 1) // 2 + 5) // 6
+
+
 def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as one graph6 token (no trailing newline)."""
     n = g.n
     if n > GRAPH6_MAX_N:
         raise SizeLimitError(f"graph6 supported here only up to n={GRAPH6_MAX_N}")
-    out = bytearray()
     if n < 63:
-        out.append(n + 63)
+        out = bytearray((n + 63,))
     else:
-        out.append(126)
-        out.append(((n >> 12) & 0x3F) + 63)
-        out.append(((n >> 6) & 0x3F) + 63)
-        out.append((n & 0x3F) + 63)
+        out = bytearray((126, ((n >> 12) & 0x3F) + 63, ((n >> 6) & 0x3F) + 63, (n & 0x3F) + 63))
     # pair i < j is bit j(j-1)/2 + i, big-endian within its 6-bit byte;
     # neighbors are sorted, so a column's pairs end at the first i >= j
-    bits = bytearray((n * (n - 1) // 2 + 5) // 6)
+    bits = bytearray(graph6_length(n) - len(out))
     for j, nbrs in enumerate(g.adjacency):
         base = j * (j - 1) // 2
         for i in nbrs:

@@ -5,11 +5,13 @@ sorted tuples, which makes every structure hashable-by-content, cheap to
 share between operations, and safe to read from multiple threads.
 
 A ``Graph`` is plain immutable data: its order and adjacency. A ``Forest``
-walks its graph once, while it validates, and keeps that walk as
+is a ``Graph`` that carries its walk: built from a graph, it shares that
+graph's adjacency, walks it once while it validates, and keeps the walk as
 ``Forest.walk``: the ``rooted_order`` of the adjacency with every component
 rooted at its smallest vertex, as two tuples. The DP tables, the rerooting
 pass and the centroid search read it instead of walking the graph again.
-A ``Tree`` is a ``Forest`` with one component.
+A ``Tree`` is a ``Forest`` with one component. Equality and hashing are by
+content, so a ``Tree`` equals the ``Graph`` it was built from.
 """
 
 from __future__ import annotations
@@ -47,41 +49,27 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-        for u, nbrs in enumerate(adj):
-            nbrs.sort()
+        self.n = n
+        self.adjacency = _sorted_adjacency(n, _checked_edges(n, edges))
+        for u, nbrs in enumerate(self.adjacency):
             for i in range(1, len(nbrs)):
                 if nbrs[i] == nbrs[i - 1]:
                     raise ValueError(f"duplicate edge ({u}, {nbrs[i]})")
-        self.n = n
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
 
-    @classmethod
-    def _from_adjacency(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
-        """Trusted constructor for internally built, already-valid adjacency."""
-        g = object.__new__(cls)
+    @staticmethod
+    def _from_adjacency(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+        """Trusted constructor for internally built, already-valid adjacency.
+        Always a plain Graph: a Forest exists only with its walk."""
+        g = object.__new__(Graph)
         g.n = n
         g.adjacency = adjacency
         return g
 
-    @classmethod
-    def _from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    @staticmethod
+    def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Trusted constructor for edges already known to be in range, loop-free
-        and distinct; builds the sorted adjacency."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        return cls._from_adjacency(n, tuple(map(tuple, adj)))
+        and distinct."""
+        return Graph._from_adjacency(n, _sorted_adjacency(n, edges))
 
     @property
     def m(self) -> int:
@@ -89,9 +77,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -105,51 +90,68 @@ class Graph:
         return hash((self.n, self.adjacency))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges()!r})"
+        return f"{type(self).__name__}(n={self.n}, edges={self.edges()!r})"
 
 
-class Forest:
-    """A graph whose every component is a tree, with its walk.
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[tuple[int, int]]:
+    """The edges, each checked to be in range and not a loop as it is read."""
+    for u, v in edges:
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has a label outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        yield u, v
 
-    The constructor walks the graph once and keeps the result as ``walk``;
-    the check counts: a graph is a forest exactly when m = n - c, where c
-    is the number of components, the roots of its walk. Components are
-    numbered 0, 1, ... by their smallest vertex label; ``component`` maps
-    each vertex to its component id and is built on first use.
+
+def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of n vertices from in-range, loop-free edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
+    return tuple(map(tuple, adj))
+
+
+class Forest(Graph):
+    """A Graph whose every component is a tree, with its walk.
+
+    ``Forest(graph)`` shares the graph's order and adjacency, walks it once
+    and keeps the result as ``walk``; the check counts: a graph is a forest
+    exactly when m = n - c, where c is the number of components, the roots
+    of its walk. Components are numbered 0, 1, ... by their smallest vertex
+    label; ``component`` maps each vertex to its component id and is built
+    on first use. A Forest compares and hashes as the Graph it is.
     """
 
-    __slots__ = ("graph", "n", "adjacency", "walk", "ncomponents", "_component")
+    __slots__ = ("walk", "ncomponents", "_component")
 
     def __init__(self, graph: Graph):
         order, parent = rooted_order(graph.adjacency)
-        roots = parent.count(-1)
-        if graph.m != graph.n - roots:
+        self.n = graph.n
+        self.adjacency = graph.adjacency
+        self.ncomponents = parent.count(-1)
+        self._check(order, parent)
+        self.walk: Walk = (tuple(order), tuple(parent))
+        self._component: tuple[int, ...] | None = None
+
+    def _check(self, order: list[int], parent: list[int]) -> None:
+        if self.m != self.n - self.ncomponents:
             # name the first component whose degree sum exceeds 2(size - 1)
-            adj = graph.adjacency
-            surplus = [2] * roots
+            adj = self.adjacency
+            surplus = [2] * self.ncomponents
             for v, c in enumerate(_component_ids(order, parent)):
                 surplus[c] += len(adj[v]) - 2
             heads = [v for v in order if parent[v] < 0]
             s = next(h for h, extra in zip(heads, surplus) if extra)
             raise ValueError(f"component containing vertex {s} has a cycle")
-        self._keep(graph, order, parent, roots)
-
-    def _keep(self, graph: Graph, order: list[int], parent: list[int], ncomponents: int) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self.adjacency = graph.adjacency
-        self.walk: Walk = (tuple(order), tuple(parent))
-        self.ncomponents = ncomponents
-        self._component: tuple[int, ...] | None = None
 
     @property
     def component(self) -> tuple[int, ...]:
         if self._component is None:
             self._component = tuple(_component_ids(*self.walk))
         return self._component
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.
@@ -168,37 +170,22 @@ class Forest:
             out.append((Tree(g), tuple(verts)))
         return out
 
-    def __repr__(self) -> str:
-        return f"Forest(n={self.n}, components={self.ncomponents})"
-
 
 class Tree(Forest):
     """A connected acyclic Graph: a Forest with one component. Every Tree is
-    checked here: the edge count, then one root in its walk."""
+    checked by the Forest constructor, with the checks here in place of the
+    cycle count: no vertices, then the edge count, then one root in its walk."""
 
     __slots__ = ()
 
-    def __init__(self, graph: Graph):
-        n = graph.n
+    def _check(self, order: list[int], parent: list[int]) -> None:
+        n = self.n
         if n == 0:
             raise ValueError("a tree needs at least one vertex")
-        if graph.m != n - 1:
-            raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {graph.m}")
-        order, parent = rooted_order(graph.adjacency)
-        if parent.count(-1) != 1:
+        if self.m != n - 1:
+            raise ValueError(f"tree on {n} vertices must have {n - 1} edges, got {self.m}")
+        if self.ncomponents != 1:
             raise ValueError("graph is not connected")
-        self._keep(graph, order, parent, 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
-
-    def __repr__(self) -> str:
-        return f"Tree(n={self.n}, edges={self.graph.edges()!r})"
 
 
 def rooted_order(
@@ -459,5 +446,5 @@ def remove_vertex(t: Tree, v: int) -> Forest:
     """
     if not (0 <= v < t.n):
         raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-    g, _ = delete_vertices(t.graph, (v,))
+    g, _ = delete_vertices(t, (v,))
     return Forest(g)

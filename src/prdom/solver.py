@@ -24,12 +24,13 @@ State costs are 0, 0, 1, 2 plus the children minima; state A is the usual
 A, C, D are valid. One table covers a whole forest and is filled bottom-up
 along a walk (``graphs.rooted_order``): by default the forest's own
 ``walk``, which roots every component at its smallest vertex and which
-the ``Forest`` constructor (a ``Tree`` is a one-component ``Forest``)
-already made while validating, so the solvers do not walk the graph
-again. The number is the sum, over the component roots, of the best root
-state. A witness is read back top-down along the same walk: each vertex's
-state follows from its parent's state and its own four costs, with state
-A's D-child found in one pass beforehand. The
+the ``Forest`` constructor already made while validating (a ``Forest`` is
+a ``Graph`` that carries its walk, and a ``Tree`` is a one-component
+``Forest``), so the solvers do not walk the graph again. The number is
+the sum, over the component roots, of the best root state. A witness is
+read back top-down along the same walk: each vertex's state follows from
+its parent's state and its own four costs, with state A's D-child found
+in one pass beforehand. The
 exponential route, ``brute_force``, is a Gray-code scan over all 2^n
 placements of the 2s with the forced minimal completion, and a literal
 scan of all 3^n labelings (``_brute_ternary``) stays as its reference;
@@ -66,7 +67,7 @@ class Assignment:
     def weight(self) -> int:
         return sum(self.values)
 
-    def is_valid_on(self, g: Graph | Forest) -> bool:
+    def is_valid_on(self, g: Graph) -> bool:
         adj = g.adjacency
         if len(self.values) != len(adj):
             return False
@@ -80,7 +81,7 @@ class Assignment:
         return True
 
 
-def is_valid_prdf(g: Graph | Forest, values: Sequence[int]) -> bool:
+def is_valid_prdf(g: Graph, values: Sequence[int]) -> bool:
     """Definitional check: every 0-vertex has exactly one 2-neighbor."""
     return Assignment(tuple(values)).is_valid_on(g)
 
@@ -411,7 +412,7 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def brute_force(
-    g: Graph | Forest, enumerate_all: bool = False
+    g: Graph, enumerate_all: bool = False
 ) -> tuple[int, list[Assignment] | None]:
     """Exhaustive minimum over every labeling of any graph, n <= 16.
 

@@ -51,7 +51,7 @@ def attach_pendant_path(t: Tree, u: int, length: int) -> Tree:
     if not (0 <= u < t.n):
         raise ValueError(f"vertex {u} outside 0..{t.n - 1}")
     n = t.n
-    edges = t.graph.edges()
+    edges = t.edges()
     edges.append((u, n))
     for i in range(length - 1):
         edges.append((n + i, n + i + 1))

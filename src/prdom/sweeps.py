@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 from .canonical import canonical_form
 from .enumeration import enumerate_free_trees, random_labeled_tree
-from .family import check_stable_profile, enumerate_family, recognize
+from .family import (
+    SECOND_NOT_DEGREE_2,
+    THIRD_NOT_DEGREE_2,
+    check_stable_profile,
+    enumerate_family,
+    recognize,
+)
 from .graphs import Tree
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, optima_report, stability_report
@@ -27,10 +33,7 @@ ATTACHMENT_RANDOM_PAIRS = 200
 ATTACHMENT_RANDOM_MAX_N = 60
 OPTIMA_SWEEP_MAX_N = 12
 
-_DEGREE_REASONS = (
-    "second path vertex degree is not 2",
-    "third path vertex degree is not 2",
-)
+_DEGREE_REASONS = (SECOND_NOT_DEGREE_2, THIRD_NOT_DEGREE_2)
 
 
 @dataclass
@@ -82,7 +85,7 @@ def characterization_sweep(max_n: int) -> CharacterizationResult:
                 result.mismatches.append(
                     {
                         "n": n,
-                        "edges": t.graph.edges(),
+                        "edges": t.edges(),
                         "stable": stable,
                         "recognized": rec.accepted,
                         "family_member": member,
@@ -93,11 +96,11 @@ def characterization_sweep(max_n: int) -> CharacterizationResult:
                 stable_count += 1
                 if not check_stable_profile(t):
                     result.profile_violations.append(
-                        {"n": n, "edges": t.graph.edges(), "number": prd_number(t)}
+                        {"n": n, "edges": t.edges(), "number": prd_number(t)}
                     )
                 if not rec.accepted and rec.reason in _DEGREE_REASONS:
                     result.degree_rejections_of_stable.append(
-                        {"n": n, "edges": t.graph.edges(), "reason": rec.reason}
+                        {"n": n, "edges": t.edges(), "reason": rec.reason}
                     )
         result.stable_per_order[n] = stable_count
     return result
@@ -155,7 +158,7 @@ def attachment_delta_sweep(max_n: int = 12, seed: int = 0) -> AttachmentDeltaRes
             result.violations.append(
                 {
                     "context": context,
-                    "edges": t.graph.edges(),
+                    "edges": t.edges(),
                     "vertex": u,
                     "length": length,
                     "delta": after - before,
@@ -224,7 +227,7 @@ def optima_structure_sweep(max_n: int = 12) -> OptimaStructureResult:
         if not report.passed:
             result.violations.append(
                 {
-                    "edges": t.graph.edges(),
+                    "edges": t.edges(),
                     "one_vertices": list(report.one_vertices),
                     "two_leaves": list(report.two_leaves),
                     "site_violations": [

@@ -22,7 +22,7 @@ def labeled_forests(draw, max_trees=3, max_n=16, max_isolated=4):
     edges: list[tuple[int, int]] = []
     n = 0
     for t in draw(st.lists(labeled_trees(max_n=max_n), max_size=max_trees)):
-        edges.extend((u + n, v + n) for u, v in t.graph.edges())
+        edges.extend((u + n, v + n) for u, v in t.edges())
         n += t.n
     n += draw(st.integers(0, max_isolated))
     perm = draw(st.permutations(range(n)))
@@ -34,7 +34,7 @@ def shuffled_member(steps, rng):
     t = replay_certificate(random_certificate(steps, rng))
     perm = list(range(t.n))
     rng.shuffle(perm)
-    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
 
 
 @st.composite

@@ -241,10 +241,10 @@ def test_generate_matches_the_recomputing_walk(seed, monkeypatch, capsys):
     # walk draws the first k choices, so one 60-step walk gives every prefix
     rng = random.Random(seed)
     t = make_path(3)
-    expected = [emit_graph6(t.graph)]
+    expected = [emit_graph6(t)]
     for _ in range(60):
         t = grow(t, rng.choice(sorted(forced_zero_set(t))))
-        expected.append(emit_graph6(t.graph))
+        expected.append(emit_graph6(t))
     for k, g6 in enumerate(expected):
         code, out, _ = run_cli(
             ["generate", "--steps", str(k), "--seed", str(seed)], "", monkeypatch, capsys
@@ -493,7 +493,7 @@ def test_certificates_take_ascii_decimal_numbers_only(text, line, tmp_path, monk
 def test_recognized_certificates_replay_past_a_thousand_steps(tmp_path, monkeypatch, capsys):
     member = shuffled_member(1001, random.Random(2))
     tree_path, cert_path = tmp_path / "tree.txt", tmp_path / "cert.txt"
-    tree_path.write_text(emit_edge_list(member.graph))
+    tree_path.write_text(emit_edge_list(member))
     code, out, _ = run_cli(
         ["recognize", "--input", str(tree_path), "--emit-certificate", str(cert_path)],
         "",

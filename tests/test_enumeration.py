@@ -58,7 +58,7 @@ def test_output_is_duplicate_free_and_valid():
         forms = set()
         for t in enumerate_free_trees(n):
             assert isinstance(t, Tree) and t.n == n
-            Tree(t.graph)  # re-run the full invariant check
+            Tree(t)  # re-run the full invariant check
             forms.add(canonical_form(t))
         assert len(forms) == EXPECTED_COUNTS[n]
 
@@ -108,14 +108,14 @@ def test_bounds():
 def test_tree_from_prufer_known_sequences():
     # sequence (1, 1): star centered at 1 on 4 vertices
     t = tree_from_prufer((1, 1))
-    assert t.graph.edges() == [(0, 1), (1, 2), (1, 3)]
+    assert t.edges() == [(0, 1), (1, 2), (1, 3)]
     # sequence () gives the single edge
-    assert tree_from_prufer(()).graph.edges() == [(0, 1)]
+    assert tree_from_prufer(()).edges() == [(0, 1)]
     with pytest.raises(ValueError):
         tree_from_prufer((5,))
 
 
 def test_prufer_covers_cayley_count():
     # n^(n-2) distinct labeled trees at n=5
-    seen = {t.graph for t in all_labeled_trees(5)}
+    seen = set(all_labeled_trees(5))
     assert len(seen) == 5 ** 3

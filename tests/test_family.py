@@ -140,7 +140,7 @@ def test_recognition_matches_family_membership_exhaustively():
 
 def test_replay_empty_certificate_is_p3():
     t = replay_certificate(Certificate(steps=()))
-    assert t.graph == make_path(3).graph
+    assert t == make_path(3)
 
 
 def test_replay_round_trip():
@@ -320,7 +320,7 @@ def _recognize_per_peel(t):
             return (False, None, "second path vertex degree is not 2")
         if current.degree(x3) != 2:
             return (False, None, "third path vertex degree is not 2")
-        peeled_graph, old_to_new = delete_vertices(current.graph, (x1, x2, x3))
+        peeled_graph, old_to_new = delete_vertices(current, (x1, x2, x3))
         smaller = Tree(peeled_graph)
         if old_to_new[x4] not in forced_zero_set(smaller):
             return (False, None, "anchor is not forced-zero after peeling")
@@ -346,6 +346,19 @@ REASONS = {
     "third path vertex degree is not 2",
     "anchor is not forced-zero after peeling",
 }
+
+
+def test_rejection_reasons_are_named_once():
+    named = {
+        family.ORDER_NOT_MULTIPLE_OF_3,
+        family.SECOND_NOT_DEGREE_2,
+        family.THIRD_NOT_DEGREE_2,
+        family.ANCHOR_NOT_FORCED_ZERO,
+    }
+    assert named == REASONS
+    given = {recognize(t).reason for n in range(1, 13) for t in enumerate_free_trees(n)}
+    assert given - {None} <= named
+    assert sweeps._DEGREE_REASONS == (family.SECOND_NOT_DEGREE_2, family.THIRD_NOT_DEGREE_2)
 
 
 def _check_against_the_oracle(t):
@@ -374,7 +387,7 @@ def shuffled_members(draw, max_steps=30):
     )
     t = replay_certificate(cert)
     perm = draw(st.permutations(range(t.n)))
-    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.graph.edges()]))
+    return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
 
 
 @given(shuffled_members())

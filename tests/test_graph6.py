@@ -13,6 +13,7 @@ from prdom import (
     make_path,
     parse_graph6,
 )
+from prdom.graph6 import graph6_length
 
 
 def _nx_encode(g: Graph) -> bytes:
@@ -40,8 +41,8 @@ def test_bw_is_the_triangle():
 
 def test_three_vertex_path_encodings():
     # bits run (0,1), (0,2), (1,2); the path 0-1-2 sets the first and last
-    assert emit_graph6(make_path(3).graph) == b"Bg"
-    assert parse_graph6(b"Bg") == make_path(3).graph
+    assert emit_graph6(make_path(3)) == b"Bg"
+    assert parse_graph6(b"Bg") == make_path(3)
     # the two other labelings of the same path
     assert parse_graph6(b"BW") == Graph(3, [(0, 2), (1, 2)])
     assert parse_graph6(b"Bo") == Graph(3, [(0, 1), (0, 2)])
@@ -50,18 +51,24 @@ def test_three_vertex_path_encodings():
 def test_round_trip_all_small_trees_and_networkx_agreement():
     for n in range(1, 9):
         for t in enumerate_free_trees(n):
-            enc = emit_graph6(t.graph)
-            assert parse_graph6(enc) == t.graph
-            assert enc == _nx_encode(t.graph)
-            assert sorted(nx.from_graph6_bytes(enc).edges()) == t.graph.edges()
+            enc = emit_graph6(t)
+            assert parse_graph6(enc) == t
+            assert enc == _nx_encode(t)
+            assert sorted(nx.from_graph6_bytes(enc).edges()) == t.edges()
 
 
 def test_large_size_field():
-    g = make_path(70).graph
+    g = make_path(70)
     enc = emit_graph6(g)
     assert enc[0] == 126  # '~' long-size marker
     assert parse_graph6(enc) == g
     assert enc == _nx_encode(g)
+
+
+def test_graph6_length_counts_the_encoded_bytes():
+    # across the switch from a one-byte to a four-byte size field at n = 63
+    for n in range(131):
+        assert graph6_length(n) == len(emit_graph6(Graph(n, [])))
 
 
 def test_emit_past_the_size_cap_is_a_size_limit():
@@ -105,7 +112,7 @@ def test_nonzero_padding_rejected():
 @given(labeled_trees(max_n=50))
 @settings(max_examples=200, deadline=None)
 def test_round_trip_random_trees(t):
-    assert parse_graph6(emit_graph6(t.graph)) == t.graph
+    assert parse_graph6(emit_graph6(t)) == t
 
 
 @given(small_graphs(max_n=12))
@@ -122,4 +129,4 @@ def test_round_trip_thousand_seeded_trees():
     rng = random.Random(1729)
     for _ in range(1000):
         t = random_labeled_tree(rng.randint(1, 50), rng)
-        assert parse_graph6(emit_graph6(t.graph)) == t.graph
+        assert parse_graph6(emit_graph6(t)) == t

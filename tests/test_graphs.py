@@ -45,7 +45,7 @@ def test_parse_edge_list_k1():
 
 def test_parse_edge_list_star_matches_constructor():
     g = parse_edge_list(b"4\n0 1\n0 2\n0 3")
-    assert g == make_star(3).graph
+    assert g == make_star(3)
 
 
 @pytest.mark.parametrize(
@@ -88,18 +88,18 @@ def test_size_limit_error_is_one_class():
 
 def test_edge_list_round_trip():
     t = make_double_star(2, 3)
-    assert parse_edge_list(emit_edge_list(t.graph)) == t.graph
+    assert parse_edge_list(emit_edge_list(t)) == t
 
 
 @given(labeled_forests(), st.randoms(use_true_random=False))
 @settings(max_examples=100)
 def test_edge_list_round_trip_of_forests(f, rng):
-    assert parse_edge_list(emit_edge_list(f.graph)) == f.graph
+    assert parse_edge_list(emit_edge_list(f)) == f
     # edges in any order and orientation give the same sorted adjacency
-    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in f.graph.edges()]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in f.edges()]
     rng.shuffle(edges)
     text = f"{f.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-    assert parse_edge_list(text) == f.graph
+    assert parse_edge_list(text) == f
 
 
 def test_graph_rejects_bad_edges():
@@ -124,7 +124,7 @@ def test_constructors():
     ds = make_double_star(2, 2)
     assert ds.n == 6
     assert ds.degree(0) == 3 and ds.degree(1) == 3
-    assert make_path(3).graph.edges() == [(0, 1), (1, 2)]
+    assert make_path(3).edges() == [(0, 1), (1, 2)]
     star = make_star(3)
     assert star.degree(0) == 3
     spider = make_spider([2, 2, 2])
@@ -204,7 +204,7 @@ def test_remove_vertex_leaf_of_path():
     f = remove_vertex(make_path(6), 0)
     assert f.ncomponents == 1
     tree, labels = f.component_trees()[0]
-    assert tree.graph == make_path(5).graph
+    assert tree == make_path(5)
     assert labels == (0, 1, 2, 3, 4)
 
 
@@ -261,7 +261,7 @@ def test_rooted_order_walks_every_component(f, data):
             assert parent[v] in f.adjacency[v]
             assert position[parent[v]] < position[v]
     roots = [v for v in order if parent[v] < 0]
-    smallest = _smallest_in_component(f.n, f.graph.edges())
+    smallest = _smallest_in_component(f.n, f.edges())
     # each pick roots its component unless an earlier pick already did
     expected = []
     for v in picks:
@@ -328,13 +328,13 @@ def test_forest_check_matches_the_per_vertex_loop_on_graphs(g):
 @given(labeled_forests(), st.data())
 @settings(max_examples=150)
 def test_forest_check_matches_the_per_vertex_loop_on_forests(f, data):
-    _assert_forest_check_matches(f.graph)
+    _assert_forest_check_matches(f)
     # each extra edge inside a component closes a cycle there
     missing = [(u, v) for u in range(f.n) for v in range(u + 1, f.n)
                if v not in f.adjacency[u] and f.component[u] == f.component[v]]
     if missing:
         extra = data.draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
-        _assert_forest_check_matches(Graph(f.n, f.graph.edges() + extra))
+        _assert_forest_check_matches(Graph(f.n, f.edges() + extra))
 
 
 def test_tree_and_forest_fill_the_shared_walk():
@@ -347,6 +347,22 @@ def test_tree_and_forest_fill_the_shared_walk():
     t = Tree(Graph(3, [(0, 1), (1, 2)]))
     assert t.walk == ((0, 1, 2), (-1, 0, 1)) and t.ncomponents == 1
     assert issubclass(Tree, Forest) and Tree.__slots__ == ()
+
+
+def test_a_forest_is_a_graph():
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    t, f = Tree(g), Forest(g)
+    assert issubclass(Forest, Graph)
+    assert t == g == f and hash(t) == hash(g) == hash(f)
+    assert not hasattr(t, "graph") and not hasattr(f, "graph")
+    assert repr(t) == "Tree(n=4, edges=[(0, 1), (1, 2), (1, 3)])"
+    built = [t, f, make_path(4), make_star(3), make_double_star(1, 2), make_spider([1, 2])]
+    built += [tree_from_prufer([3, 3, 1]), *enumerate_free_trees(6)]
+    built += [x for x, _ in remove_vertex(make_spider([2, 1, 3]), 0).component_trees()]
+    assert all(isinstance(x, Graph) for x in built)
+    # the trusted builders make plain Graphs: no Forest or Tree lacks its walk
+    assert type(Tree._from_edges(2, [(0, 1)])) is Graph
+    assert type(Forest._from_adjacency(2, ((1,), (0,)))) is Graph
 
 
 def test_every_built_tree_is_validated():

@@ -439,7 +439,7 @@ def test_witness_matches_the_stack_route_on_a_tied_forest():
     parts.append(Tree(Graph(3 * spine, caterpillar)))
     edges, n = [], 0
     for t in parts:
-        edges += [(u + n, v + n) for u, v in t.graph.edges()]
+        edges += [(u + n, v + n) for u, v in t.edges()]
         n += t.n
     n += 3  # isolated vertices
     rng = random.Random(2024)

@@ -91,9 +91,9 @@ def test_attach_pendant_path_labels():
     t = attach_pendant_path(make_path(3), 0, 3)
     # new chain hangs off 0: 0-3, 3-4, 4-5; far endpoint gets the top label
     assert t.n == 6
-    assert t.graph.edges() == [(0, 1), (0, 3), (1, 2), (3, 4), (4, 5)]
+    assert t.edges() == [(0, 1), (0, 3), (1, 2), (3, 4), (4, 5)]
     t2 = attach_pendant_path(make_path(3), 1, 1)
-    assert t2.graph.edges() == [(0, 1), (1, 2), (1, 3)]
+    assert t2.edges() == [(0, 1), (1, 2), (1, 3)]
 
 
 def test_attach_pendant_path_rejects_bad_arguments():
