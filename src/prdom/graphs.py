@@ -17,7 +17,7 @@ content, so a ``Tree`` equals the ``Graph`` it was built from.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -51,25 +51,16 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         self.adjacency = _sorted_adjacency(n, _checked_edges(n, edges))
-        for u, nbrs in enumerate(self.adjacency):
-            for i in range(1, len(nbrs)):
-                if nbrs[i] == nbrs[i - 1]:
-                    raise ValueError(f"duplicate edge ({u}, {nbrs[i]})")
-
-    @staticmethod
-    def _from_adjacency(n: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
-        """Trusted constructor for internally built, already-valid adjacency.
-        Always a plain Graph: a Forest exists only with its walk."""
-        g = object.__new__(Graph)
-        g.n = n
-        g.adjacency = adjacency
-        return g
+        if (repeat := _repeated_edge(self.adjacency)) is not None:
+            raise ValueError(f"duplicate edge {repeat}")
 
     @staticmethod
     def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Trusted constructor for edges already known to be in range, loop-free
-        and distinct."""
-        return Graph._from_adjacency(n, _sorted_adjacency(n, edges))
+        """Trusted: in-range, loop-free edges, repeats unchecked; always a plain Graph."""
+        g = object.__new__(Graph)
+        g.n = n
+        g.adjacency = _sorted_adjacency(n, edges)
+        return g
 
     @property
     def m(self) -> int:
@@ -112,6 +103,23 @@ def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[i
     for nbrs in adj:
         nbrs.sort()
     return tuple(map(tuple, adj))
+
+
+def _repeated_edge(adjacency: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The one duplicate-edge rule: the least edge (u, v), u < v, that a sorted
+    adjacency lists twice, as two equal neighbors in a row of u; or None."""
+    for u, nbrs in enumerate(adjacency):
+        for i in range(1, len(nbrs)):
+            if nbrs[i] == nbrs[i - 1]:
+                return u, nbrs[i]
+    return None
+
+
+def _induced(g: Graph, verts: Sequence[int]) -> Graph:
+    """The subgraph induced by the ascending ``verts``, verts[i] relabeled i."""
+    index = {old: new for new, old in enumerate(verts)}
+    edges = ((index[u], index[w]) for u in verts for w in g.adjacency[u] if u < w and w in index)
+    return Graph._from_edges(len(verts), edges)
 
 
 class Forest(Graph):
@@ -162,13 +170,7 @@ class Forest(Graph):
         buckets: list[list[int]] = [[] for _ in range(self.ncomponents)]
         for v, c in enumerate(self.component):
             buckets[c].append(v)
-        out = []
-        for verts in buckets:
-            index = {old: new for new, old in enumerate(verts)}
-            adj = tuple(tuple(index[u] for u in self.adjacency[old]) for old in verts)
-            g = Graph._from_adjacency(len(verts), adj)
-            out.append((Tree(g), tuple(verts)))
-        return out
+        return [(Tree(_induced(self, verts)), tuple(verts)) for verts in buckets]
 
 
 class Tree(Forest):
@@ -256,9 +258,9 @@ def parse_edge_list(data: bytes | str) -> Graph:
 
     First line is the vertex count n (SizeLimitError above EDGE_LIST_MAX_N),
     every following non-empty line is one edge "u v" with 0-based labels,
-    each number written in ASCII decimal digits. Each edge is validated
-    once, here, not again by ``Graph``. Errors report the offending line
-    number.
+    each number written in ASCII decimal digits. Errors report the
+    offending line number; a repeat, found by ``Graph``'s duplicate rule
+    after the last line, names the second line of the least repeated edge.
     """
     if isinstance(data, bytes):
         try:
@@ -280,27 +282,30 @@ def parse_edge_list(data: bytes | str) -> Graph:
         raise ParseError("vertex count must be non-negative", line=1)
     if n > EDGE_LIST_MAX_N:
         raise SizeLimitError(f"edge lists capped at n={EDGE_LIST_MAX_N}, got {n}")
-    seen: set[tuple[int, int]] = set()
-    for idx, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {stripped!r}", line=idx)
-        try:
-            u, v = number(parts[0]), number(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer label in {stripped!r}", line=idx) from None
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ParseError(f"label outside 0..{n - 1} in {stripped!r}", line=idx)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=idx)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"duplicate edge {stripped!r}", line=idx)
-        seen.add(key)
-    return Graph._from_edges(n, seen)
+
+    def edge_lines() -> Iterator[tuple[int, str, int, int]]:
+        for idx, raw in enumerate(itertools.islice(lines, 1, None), start=2):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected 'u v', got {stripped!r}", line=idx)
+            try:
+                u, v = number(parts[0]), number(parts[1])
+            except ValueError:
+                raise ParseError(f"non-integer label in {stripped!r}", line=idx) from None
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise ParseError(f"label outside 0..{n - 1} in {stripped!r}", line=idx)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", line=idx)
+            yield idx, stripped, u, v
+
+    g = Graph._from_edges(n, ((u, v) for _, _, u, v in edge_lines()))
+    if (repeat := _repeated_edge(g.adjacency)) is not None:
+        idx, text = [(i, s) for i, s, u, v in edge_lines() if {u, v} == set(repeat)][1]
+        raise ParseError(f"duplicate edge {text!r}", line=idx)
+    return g
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -424,18 +429,11 @@ def delete_vertices(g: Graph, victims: Iterable[int]) -> tuple[Graph, tuple[int,
     for v in dead:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    survivors = [v for v in range(g.n) if v not in dead]
     old_to_new = [-1] * g.n
-    k = 0
-    for v in range(g.n):
-        if v not in dead:
-            old_to_new[v] = k
-            k += 1
-    adj = tuple(
-        tuple(old_to_new[u] for u in g.adjacency[v] if u not in dead)
-        for v in range(g.n)
-        if v not in dead
-    )
-    return Graph._from_adjacency(k, adj), tuple(old_to_new)
+    for new, old in enumerate(survivors):
+        old_to_new[old] = new
+    return _induced(g, survivors), tuple(old_to_new)
 
 
 def remove_vertex(t: Tree, v: int) -> Forest:

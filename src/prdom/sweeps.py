@@ -11,6 +11,7 @@ minimum-weight labelings of every stable tree.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -129,13 +130,14 @@ class AttachmentDeltaResult:
         }
 
 
+@functools.cache
+def _stable_trees(n: int) -> tuple[Tree, ...]:
+    """The stable free trees of order n, found once for both suites that read them."""
+    return tuple(t for t in enumerate_free_trees(n) if stability_report(t).stable)
+
+
 def _stable_trees_up_to(max_n: int) -> list[Tree]:
-    out = []
-    for n in range(3, max_n + 1, 3):
-        for t in enumerate_free_trees(n):
-            if stability_report(t).stable:
-                out.append(t)
-    return out
+    return [t for n in range(3, max_n + 1, 3) for t in _stable_trees(n)]
 
 
 def attachment_delta_sweep(max_n: int = 12, seed: int = 0) -> AttachmentDeltaResult:

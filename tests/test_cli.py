@@ -460,6 +460,18 @@ def test_edge_lists_take_ascii_decimal_numbers_only(text, message, monkeypatch, 
     assert (code, out, err) == (2, "", f"prdom: parse error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("3\n0 1\n1 0\n", "line 3: duplicate edge '1 0'"),
+        ("4\n0 1\n1 2\n2 1\n", "line 4: duplicate edge '2 1'"),
+    ],
+)
+def test_solve_names_a_repeated_edge(text, message, monkeypatch, capsys):
+    code, out, err = run_cli(["solve"], text, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"prdom: parse error: {message}\n")
+
+
 def test_edge_lists_keep_reading_plain_numbers_beside_other_text(monkeypatch, capsys):
     # a non-ASCII space turns on the per-token check, which still reads -1
     # and 0 as numbers and refuses only the label's range

@@ -361,6 +361,26 @@ def test_rejection_reasons_are_named_once():
     assert sweeps._DEGREE_REASONS == (family.SECOND_NOT_DEGREE_2, family.THIRD_NOT_DEGREE_2)
 
 
+def test_stable_trees_are_enumerated_once_per_order(monkeypatch):
+    # the attachment and optima suites of verify --suite all share each
+    # order's stable trees
+    orders = []
+    enumerate_all = sweeps.enumerate_free_trees
+
+    def counted(n):
+        orders.append(n)
+        return enumerate_all(n)
+
+    monkeypatch.setattr(sweeps, "enumerate_free_trees", counted)
+    sweeps._stable_trees.cache_clear()
+    try:
+        assert sweeps.attachment_delta_sweep(12).passed
+        assert sweeps.optima_structure_sweep(12).passed
+    finally:
+        sweeps._stable_trees.cache_clear()
+    assert orders == [3, 6, 9, 12]
+
+
 def _check_against_the_oracle(t):
     """The greedy peel decides as the diameter peel does; it gives a reason
     exactly on rejection, and its certificate rebuilds the input."""

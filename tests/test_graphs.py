@@ -69,6 +69,46 @@ def test_parse_edge_list_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("3\n0 1\n1 0\n", "line 3: duplicate edge '1 0'"),
+        ("3\n0 1\n1 0\n0 1\n", "line 3: duplicate edge '1 0'"),
+        # repeats are found after the last line, so a later fault is named
+        ("6\n0 1\n0 1\n1 2\n3 9\n", "line 5: label outside 0..5 in '3 9'"),
+        # of several repeated edges, the least one is named
+        ("4\n2 3\n0 1\n3 2\n1 0\n", "line 5: duplicate edge '1 0'"),
+    ],
+)
+def test_parse_edge_list_names_the_second_line_of_the_least_repeat(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
+@given(small_graphs(max_n=6), st.data())
+@settings(max_examples=200)
+def test_parse_edge_list_refuses_exactly_what_graph_refuses(g, data):
+    # inject repeats of existing edges, then pairs that may be loops, out of
+    # range or repeats; each line in either orientation, in any order
+    edges = g.edges()
+    if edges:
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=2))
+    label = st.integers(-1, g.n)
+    edges += data.draw(st.lists(st.tuples(label, label), max_size=2))
+    edges = [e[::-1] if data.draw(st.booleans()) else e for e in data.draw(st.permutations(edges))]
+    text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    try:
+        expected = Graph(g.n, edges)
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_edge_list(text)
+    else:
+        assert parse_edge_list(text) == expected
+
+
 def test_parse_edge_list_rejects_undecodable_bytes():
     with pytest.raises(ParseError) as exc:
         parse_edge_list(b"3\n0 1\n1 \xff2\n")
@@ -360,9 +400,8 @@ def test_a_forest_is_a_graph():
     built += [tree_from_prufer([3, 3, 1]), *enumerate_free_trees(6)]
     built += [x for x, _ in remove_vertex(make_spider([2, 1, 3]), 0).component_trees()]
     assert all(isinstance(x, Graph) for x in built)
-    # the trusted builders make plain Graphs: no Forest or Tree lacks its walk
+    # the trusted builder makes plain Graphs: no Forest or Tree lacks its walk
     assert type(Tree._from_edges(2, [(0, 1)])) is Graph
-    assert type(Forest._from_adjacency(2, ((1,), (0,)))) is Graph
 
 
 def test_every_built_tree_is_validated():
