@@ -76,7 +76,8 @@ def write_edge_list(path: Path, n: int, edges: list[tuple[int, int]]) -> str:
 
 
 def run_child(src: Path, argv: list[str]) -> tuple[float, float, str]:
-    """Wall seconds, peak RSS in MB and report digest of one prdom child."""
+    """Wall seconds, peak RSS in MB and output digest of one prdom child: of
+    its JSON report without ``timing``, or of any other output as it is."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
@@ -101,7 +102,11 @@ def run_child(src: Path, argv: list[str]) -> tuple[float, float, str]:
             message = err.read().decode(errors="replace").strip()
             raise RuntimeError(f"prdom {' '.join(argv)} exited {code}: {message}")
         out.seek(0)
-        report = json.loads(out.read())
+        text = out.read()
+    try:
+        report = json.loads(text)
+    except ValueError:  # graph6 lines or the version line
+        return wall, usage.ru_maxrss / 1024, hashlib.sha256(text).hexdigest()
     report.pop("timing", None)
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     return wall, usage.ru_maxrss / 1024, digest

@@ -17,37 +17,14 @@ input, 3 size limit, 4 internal invariant breach or any other error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
-import random
 import sys
 import time
-from typing import TypeVar
 
+# each command imports what it runs, so a child loads only its own modules
 from . import __version__
-from .canonical import canonical_form, canonical_forms
-from .family import (
-    InvalidStepError,
-    enumerate_family,
-    parse_certificate,
-    random_certificate,
-    recognize,
-    replay_certificate,
-    serialize_certificate,
-)
-from .graph6 import GRAPH6_MAX_N, emit_graph6, graph6_length, parse_graph6
-from .graphs import Forest, ParseError, SizeLimitError, Tree, parse_edge_list
-from .solver import forced_zero_set, optimal_assignment, prd_number
-from .stability import stability_report
-from .sweeps import (
-    ATTACHMENT_MAX_N,
-    CHARACTERIZATION_MAX_N,
-    OPTIMA_SWEEP_MAX_N,
-    attachment_delta_sweep,
-    characterization_sweep,
-    optima_structure_sweep,
-)
+from .graphs import Forest, InvalidStepError, ParseError, SizeLimitError, Tree, parse_edge_list
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -57,9 +34,6 @@ EXIT_INTERNAL = 4
 
 # generate refuses, before any work, a member whose graph6 line is longer
 GENERATE_MAX_BYTES = 64 << 20
-
-F = TypeVar("F", bound=Forest)
-
 
 class _UsageError(ValueError):
     pass
@@ -82,10 +56,12 @@ def _read_text(path: str | None) -> str:
         ) from None
 
 
-def _parse_input(args: argparse.Namespace, cls: type[F]) -> F:
+def _parse_input(args: argparse.Namespace, cls: type[Forest]) -> Forest:
     """The input graph, validated as a ``cls`` (a Forest or a Tree)."""
     text = _read_text(args.input)
     if args.format == "graph6":
+        from .graph6 import parse_graph6
+
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ParseError("empty graph6 input")
@@ -122,6 +98,10 @@ def _report(args: argparse.Namespace, command: str, options: dict, input_info: d
 
 
 def _input_info(x: Forest) -> dict:
+    import hashlib
+
+    from .canonical import canonical_forms
+
     forms = canonical_forms(x)
     return {
         "digest": "sha256:" + hashlib.sha256(b"|".join(sorted(forms))).hexdigest(),
@@ -132,6 +112,8 @@ def _input_info(x: Forest) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import forced_zero_set, optimal_assignment, prd_number
+
     started = time.perf_counter()
     forest = _parse_input(args, Forest)
     # a witness's weight is the number, so it needs no second DP table
@@ -153,6 +135,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stable(args: argparse.Namespace) -> int:
+    from .stability import stability_report
+
     started = time.perf_counter()
     tree = _parse_input(args, Tree)
     report = stability_report(tree)
@@ -168,6 +152,8 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    from .family import recognize, serialize_certificate
+
     started = time.perf_counter()
     tree = _parse_input(args, Tree)
     outcome = recognize(tree)
@@ -196,6 +182,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .family import enumerate_family, random_certificate, replay_certificate
+    from .graph6 import GRAPH6_MAX_N, emit_graph6, graph6_length
+
     if args.all is not None:
         if args.all < 3 or args.all % 3 != 0:
             raise _UsageError(f"--all takes a positive multiple of 3, got {args.all}")
@@ -214,6 +203,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 f"--steps {args.steps} writes a graph6 line of {size} bytes,"
                 f" above the cap of {GENERATE_MAX_BYTES}"
             )
+        import random
+
         certificates = [random_certificate(args.steps, random.Random(args.seed))]
     trees = (replay_certificate(c) for c in certificates)
     _write_output(args, "".join(emit_graph6(t).decode("ascii") + "\n" for t in trees))
@@ -221,6 +212,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_certificate(args: argparse.Namespace) -> int:
+    from .canonical import canonical_form
+    from .family import parse_certificate, replay_certificate
+
     started = time.perf_counter()
     text = _read_text(args.certificate)
     result: dict = {"certificate_path": args.certificate}
@@ -246,6 +240,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _cmd_verify_certificate(args)
     if args.max_n < 3:
         raise _UsageError(f"--max-n must be at least 3, got {args.max_n}")
+    from .sweeps import (
+        ATTACHMENT_MAX_N,
+        CHARACTERIZATION_MAX_N,
+        OPTIMA_SWEEP_MAX_N,
+        attachment_delta_sweep,
+        characterization_sweep,
+        optima_structure_sweep,
+    )
+
     started = time.perf_counter()
     suites = ("theorem", "lemmas", "observation") if args.suite == "all" else (args.suite,)
     sweeps = {

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .graphs import EDGE_LIST_MAX_N, Graph, Tree, _number_reader, make_path
+from .graphs import EDGE_LIST_MAX_N, Graph, InvalidStepError, Tree, _number_reader, make_path
 from .solver import SizeLimitError, forced_zero_set, prd_number
 from .stability import attach_pendant_path, stability_report
 
@@ -54,10 +53,6 @@ THIRD_NOT_DEGREE_2 = "third path vertex degree is not 2"
 ANCHOR_NOT_FORCED_ZERO = "anchor is not forced-zero after peeling"
 
 
-class InvalidStepError(ValueError):
-    """A certificate step that the construction rules reject."""
-
-
 class Step(NamedTuple):
     """One growth step: attach at ``u``, creating labels ``added``.
 
@@ -70,8 +65,7 @@ class Step(NamedTuple):
     added: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Build recipe for a family member: steps applied in order to P3."""
 
     steps: tuple[Step, ...]
@@ -251,8 +245,7 @@ def recognize(t: Tree) -> RecognitionResult:
     return RecognitionResult(True, Certificate(steps=tuple(steps)), None)
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
+class FamilyIndex(NamedTuple):
     """Every family member of one order, keyed by canonical form.
 
     ``members`` maps each canonical form to the first build certificate the
@@ -260,7 +253,7 @@ class FamilyIndex:
     """
 
     order: int
-    members: dict[CanonicalForm, Certificate] = field(default_factory=dict)
+    members: dict[CanonicalForm, Certificate]
 
     def __contains__(self, key: CanonicalForm) -> bool:
         return key in self.members

@@ -34,6 +34,10 @@ class SizeLimitError(ValueError):
     """Input too large for an exhaustive routine or a declared size cap."""
 
 
+class InvalidStepError(ValueError):
+    """A certificate step that the construction rules reject."""
+
+
 # parse_edge_list checks n against this before it allocates per-vertex lists
 EDGE_LIST_MAX_N = 10_000_000
 

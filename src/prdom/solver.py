@@ -45,7 +45,6 @@ as "every".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -57,8 +56,7 @@ BRUTE_FORCE_MAX_N = 16
 _Adjacency = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Vertex labels in {0, 1, 2}, candidate perfect Roman dominating function."""
 
     values: tuple[int, ...]

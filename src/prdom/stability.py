@@ -11,7 +11,6 @@ labelings of a small tree and examines their structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, Tree
@@ -20,8 +19,7 @@ from .solver import SizeLimitError, _all_roots, brute_force
 OPTIMA_SCAN_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Deletion deltas for one tree: deltas[v] = number(T - v) - number(T)."""
 
     base: int
@@ -89,8 +87,7 @@ def branch_sites(t: Tree) -> list[BranchSite]:
     return out
 
 
-@dataclass(frozen=True)
-class OptimaReport:
+class OptimaReport(NamedTuple):
     """Structure of all minimum-weight labelings of one tree.
 
     ``one_vertices`` lists vertices that take label 1 in some optimum and

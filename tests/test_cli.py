@@ -1,7 +1,9 @@
 import ast
 import contextlib
+import importlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 import prdom.cli as cli
 import prdom.family
+import prdom.graph6
 import prdom.graphs
+import prdom.sweeps
 from conftest import NOT_TREES, shuffled_member
 from prdom import (
     Certificate,
@@ -367,7 +371,7 @@ def test_verify_property_failure_exit_code(monkeypatch, capsys):
     failing.mismatches.append({"n": 5, "edges": [], "stable": True,
                                "recognized": False, "family_member": False,
                                "reason": None})
-    monkeypatch.setattr(cli, "characterization_sweep", lambda max_n: failing)
+    monkeypatch.setattr(prdom.sweeps, "characterization_sweep", lambda max_n: failing)
     code, out, _ = run_cli(
         ["verify", "--suite", "theorem", "--max-n", "5"], "", monkeypatch, capsys
     )
@@ -378,7 +382,7 @@ def test_verify_property_failure_exit_code(monkeypatch, capsys):
 def test_generate_internal_breach_exit_code(monkeypatch, capsys):
     # a walk that attaches at the base path's centre, which is never forced-zero
     monkeypatch.setattr(
-        cli, "random_certificate", lambda steps, rng: Certificate((Step(1, (3, 4, 5)),))
+        prdom.family, "random_certificate", lambda steps, rng: Certificate((Step(1, (3, 4, 5)),))
     )
     code, _, err = run_cli(
         ["generate", "--steps", "1"], "", monkeypatch, capsys
@@ -392,7 +396,7 @@ def test_generate_steps_past_the_graph6_cap_exit_code(monkeypatch, capsys):
     def no_walk(steps, rng):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(cli, "random_certificate", no_walk)
+    monkeypatch.setattr(prdom.family, "random_certificate", no_walk)
     code, out, err = run_cli(["generate", "--steps", "86015"], "", monkeypatch, capsys)
     assert code == 3
     assert out == ""
@@ -406,7 +410,7 @@ def test_generate_steps_past_the_byte_cap_exit_code(monkeypatch, capsys):
     def no_emit(g):
         raise AssertionError("emit_graph6 ran")
 
-    monkeypatch.setattr(cli, "emit_graph6", no_emit)
+    monkeypatch.setattr(prdom.graph6, "emit_graph6", no_emit)
     code, out, err = run_cli(["generate", "--steps", "9459"], "", monkeypatch, capsys)
     assert code == 3
     assert out == ""
@@ -421,7 +425,7 @@ def test_generate_byte_cap_admits_a_line_of_exactly_the_cap(monkeypatch, capsys)
     monkeypatch.setattr(cli, "GENERATE_MAX_BYTES", 330)
     code, out, _ = run_cli(["generate", "--steps", "20"], "", monkeypatch, capsys)
     assert code == 0 and len(out) == 330 + 1
-    monkeypatch.setattr(cli, "emit_graph6", None)
+    monkeypatch.setattr(prdom.graph6, "emit_graph6", None)
     code, out, err = run_cli(["generate", "--steps", "21"], "", monkeypatch, capsys)
     assert code == 3 and out == ""
     assert err == (
@@ -532,7 +536,7 @@ def test_certificate_length_is_capped_before_replay(tmp_path, monkeypatch, capsy
     code, out, _ = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
     assert code == 0 and json.loads(out)["result"]["steps"] == 3
     path.write_text("\n".join(["P3"] + steps) + "\n")
-    monkeypatch.setattr(cli, "replay_certificate", None)
+    monkeypatch.setattr(prdom.family, "replay_certificate", None)
     code, out, err = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
     assert (code, out, err) == (3, "", "prdom: size limit: certificates capped at 3 steps, got 4\n")
 
@@ -633,6 +637,52 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["result"]["number"] == 2
 
 
+# the modules that importing the CLI and running cli.main(argv) add to a fresh
+# interpreter, one per line
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+before = set(sys.modules)
+from prdom import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:  # --version
+        pass
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _loaded_by_main(argv):
+    # a child, since this process has loaded every prdom module (and dataclasses)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines())
+
+
+def test_version_loads_no_command_module():
+    loaded = _loaded_by_main(["--version"])
+    assert {m for m in loaded if m.split(".")[0] == "prdom"} == {"prdom", "prdom.cli", "prdom.graphs"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--witness", "--wset"], ["stable"], ["recognize"], ["generate", "--steps", "3"]],
+)
+def test_commands_load_neither_the_sweeps_nor_dataclasses(command, tmp_path):
+    if command[0] != "generate":
+        path = tmp_path / "p6.txt"
+        path.write_text(P6_EDGELIST)
+        command = [*command, "--input", str(path)]
+    loaded = _loaded_by_main([*command, "--output", str(tmp_path / "out")])
+    assert "prdom.cli" in loaded
+    assert not loaded & {"prdom.sweeps", "prdom.enumeration", "dataclasses"}
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, prdom.cli; print('numpy' in sys.modules)"],
@@ -687,7 +737,10 @@ def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
         calls.append(1)
         return walk(*args, **kwargs)
 
-    # every prdom module that imports the walk (the solvers read Forest.walk)
+    # every prdom module that imports the walk (the solvers read Forest.walk),
+    # loaded first: a command imports its modules only when it runs
+    for home in ("canonical", "solver"):
+        importlib.import_module(f"prdom.{home}")
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "prdom" and hasattr(module, "rooted_order"):
             monkeypatch.setattr(module, "rooted_order", counting)

@@ -479,7 +479,7 @@ def forced_zero_calls(monkeypatch):
         calls.append(x.n)
         return original(x)
 
-    for module in (prdom, solver, family, cli, sweeps):
+    for module in (prdom, solver, family, sweeps):
         monkeypatch.setattr(module, "forced_zero_set", counting)
     return calls
 

@@ -1,0 +1,96 @@
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import prdom
+import prdom.family
+import prdom.graphs
+from prdom import (
+    Assignment,
+    Certificate,
+    FamilyIndex,
+    OptimaReport,
+    StabilityReport,
+    enumerate_family,
+    make_path,
+    optima_report,
+    optimal_assignment,
+    stability_report,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_export_is_the_object_its_module_defines():
+    for name in prdom.__all__:
+        home = import_module(f"prdom.{prdom._HOME[name]}")
+        assert getattr(prdom, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from prdom import *", namespace)
+    assert all(namespace[name] is getattr(prdom, name) for name in prdom.__all__)
+
+
+def test_dir_lists_every_export():
+    assert set(prdom.__all__) <= set(dir(prdom))
+    assert "__version__" in dir(prdom)
+
+
+def test_unknown_attributes_are_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        prdom.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from prdom import no_such_name  # noqa: F401
+
+
+def test_invalid_step_error_lives_in_graphs():
+    assert prdom.family.InvalidStepError is prdom.graphs.InvalidStepError
+    assert prdom.InvalidStepError.__module__ == "prdom.graphs"
+
+
+def test_an_export_loads_only_its_own_modules():
+    script = (
+        "import sys\n"
+        "import prdom\n"
+        "print(sorted(m for m in sys.modules if m.startswith('prdom')))\n"
+        "prdom.prd_number\n"
+        "print(sorted(m for m in sys.modules if m.startswith('prdom')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['prdom']",
+        "['prdom', 'prdom.graphs', 'prdom.solver']",
+    ]
+
+
+def test_records_are_read_only_named_tuples():
+    t = make_path(6)
+    records = [
+        optimal_assignment(t),
+        stability_report(t),
+        optima_report(t),
+        Certificate(steps=()),
+        enumerate_family(6),
+    ]
+    assert [type(r) for r in records] == [
+        Assignment, StabilityReport, OptimaReport, Certificate, FamilyIndex
+    ]
+    for record in records:
+        assert isinstance(record, tuple)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    family = records[-1]
+    assert len(family) == len(family.members) == 1
+    assert next(iter(family.members)) in family

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -22,3 +23,21 @@ def test_run_child_kills_and_reaps_its_child_when_interrupted(monkeypatch):
     # reaped: the pid is no longer a child of this process, running or not
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_startup_record_compares_two_sides_that_agree():
+    record = json.loads((ROOT / "BENCH_startup.json").read_text())
+    assert {"date", "machine", "python", "pythondontwritebytecode", "workload"} <= record.keys()
+    workload = record["workload"]
+    sides = record["results"]
+    assert set(sides) == {"parent", "change"}
+    assert set(sides["parent"]) == set(sides["change"]) == {
+        command.removeprefix("prdom ") for command in workload["commands"]
+    }
+    for command, parent in sides["parent"].items():
+        change = sides["change"][command]
+        for entry in (parent, change):
+            assert len(entry["wall_s_runs"]) == workload["repeat"]
+            assert min(entry["wall_s_runs"]) <= entry["wall_s"] <= max(entry["wall_s_runs"])
+            assert len(entry["report_sha256"]) == 1
+        assert parent["report_sha256"] == change["report_sha256"], command
