@@ -24,7 +24,6 @@ _EXPORTS = {
     "family": (
         "FAMILY_MAX_N",
         "Certificate",
-        "FamilyIndex",
         "RecognitionResult",
         "Step",
         "check_stable_profile",

@@ -188,7 +188,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.all is not None:
         if args.all < 3 or args.all % 3 != 0:
             raise _UsageError(f"--all takes a positive multiple of 3, got {args.all}")
-        certificates = enumerate_family(args.all).members.values()
+        certificates = enumerate_family(args.all).values()
     else:
         if args.steps < 0:
             raise _UsageError(f"--steps must be non-negative, got {args.steps}")
@@ -262,7 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # an explicitly requested suite keeps its hard cap (size-limit error);
         # under "all" each suite clamps to its own cap instead
         max_n = min(args.max_n, cap) if args.suite == "all" else args.max_n
-        results[suite] = sweep(max_n).payload()
+        results[suite] = sweep(max_n)
     all_passed = all(r["passed"] for r in results.values())
     _report(
         args,

@@ -245,29 +245,14 @@ def recognize(t: Tree) -> RecognitionResult:
     return RecognitionResult(True, Certificate(steps=tuple(steps)), None)
 
 
-class FamilyIndex(NamedTuple):
-    """Every family member of one order, keyed by canonical form.
-
-    ``members`` maps each canonical form to the first build certificate the
-    breadth-first closure finds; iteration order is sorted by key.
-    """
-
-    order: int
-    members: dict[CanonicalForm, Certificate]
-
-    def __contains__(self, key: CanonicalForm) -> bool:
-        return key in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def enumerate_family(n: int) -> FamilyIndex:
+def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
     """Breadth-first closure of the construction up to order n.
 
     Levels step by 3 from the base path; each level attaches at every
     forced-zero vertex of every member and deduplicates by canonical form.
-    Each member carries its sorted forced-zero list from the walk.
+    Each member carries its sorted forced-zero list from the walk. Returns
+    every member of order n, keyed by canonical form in sorted order, with
+    the first build certificate the closure finds for it.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError(f"family orders are positive multiples of 3, got {n}")
@@ -289,7 +274,7 @@ def enumerate_family(n: int) -> FamilyIndex:
                     grown_forced = forced + [size, size + 2]
                     nxt[grown_key] = (grown, Certificate(cert.steps + (step,)), grown_forced)
         level = nxt
-    return FamilyIndex(order=n, members={k: level[k][1] for k in sorted(level)})
+    return {k: level[k][1] for k in sorted(level)}
 
 
 def check_stable_profile(t: Tree) -> bool:

@@ -133,11 +133,11 @@ class Forest(Graph):
     and keeps the result as ``walk``; the check counts: a graph is a forest
     exactly when m = n - c, where c is the number of components, the roots
     of its walk. Components are numbered 0, 1, ... by their smallest vertex
-    label; ``component`` maps each vertex to its component id and is built
-    on first use. A Forest compares and hashes as the Graph it is.
+    label; ``component`` maps each vertex to its component id, read off the
+    walk on each access. A Forest compares and hashes as the Graph it is.
     """
 
-    __slots__ = ("walk", "ncomponents", "_component")
+    __slots__ = ("walk", "ncomponents")
 
     def __init__(self, graph: Graph):
         order, parent = rooted_order(graph.adjacency)
@@ -146,7 +146,6 @@ class Forest(Graph):
         self.ncomponents = parent.count(-1)
         self._check(order, parent)
         self.walk: Walk = (tuple(order), tuple(parent))
-        self._component: tuple[int, ...] | None = None
 
     def _check(self, order: list[int], parent: list[int]) -> None:
         if self.m != self.n - self.ncomponents:
@@ -161,9 +160,7 @@ class Forest(Graph):
 
     @property
     def component(self) -> tuple[int, ...]:
-        if self._component is None:
-            self._component = tuple(_component_ids(*self.walk))
-        return self._component
+        return tuple(_component_ids(*self.walk))
 
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.

@@ -76,34 +76,36 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_characterization_sweep(characterization_15):
     result, elapsed = characterization_15
-    ok = result.passed and not result.mismatches and elapsed < 600
-    counts = {n: c for n, c in sorted(result.stable_per_order.items()) if c}
+    ok = result["passed"] and not result["mismatches"] and elapsed < 600
+    counts = {int(n): c for n, c in result["stable_per_order"].items() if c}
     _record(
         2,
         ok,
         f"stability == recognition == closure membership on "
-        f"{result.trees_checked} trees, n <= 15 "
-        f"(stable counts {counts}, {len(result.mismatches)} mismatches, "
+        f"{result['trees_checked']} trees, n <= 15 "
+        f"(stable counts {counts}, {len(result['mismatches'])} mismatches, "
         f"{elapsed:.1f}s)",
     )
-    assert result.mismatches == []
-    assert result.degree_rejections_of_stable == []
+    assert result["mismatches"] == []
+    assert result["degree_rejections_of_stable"] == []
     assert elapsed < 600
 
 
 def test_criterion_3_stable_profile(characterization_15):
     result, _ = characterization_15
     empty_orders = {4, 5, 7, 8, 10, 11, 13, 14}
-    strays = {n: c for n, c in result.stable_per_order.items() if n in empty_orders and c}
-    ok = not result.profile_violations and not strays
+    strays = {
+        int(n): c for n, c in result["stable_per_order"].items() if int(n) in empty_orders and c
+    }
+    ok = not result["profile_violations"] and not strays
     _record(
         3,
         ok,
         f"every stable tree has order divisible by 3 and number 2n/3 "
-        f"({len(result.profile_violations)} profile violations, "
+        f"({len(result['profile_violations'])} profile violations, "
         f"stray orders {strays or 'none'})",
     )
-    assert result.profile_violations == []
+    assert result["profile_violations"] == []
     assert strays == {}
 
 
@@ -111,26 +113,26 @@ def test_criterion_4_attachment_deltas():
     result = attachment_delta_sweep(max_n=12, seed=0)
     _record(
         4,
-        result.passed,
-        f"pendant deltas +2/+1/+2 held on {result.pendant3_attachments} any-vertex, "
-        f"{result.forced_zero_attachments} forced-zero, and "
-        f"{result.random_attachments} random attachments "
-        f"({len(result.violations)} violations)",
+        result["passed"],
+        f"pendant deltas +2/+1/+2 held on {result['pendant3_attachments']} any-vertex, "
+        f"{result['forced_zero_attachments']} forced-zero, and "
+        f"{result['random_attachments']} random attachments "
+        f"({len(result['violations'])} violations)",
     )
-    assert result.violations == []
-    assert result.random_attachments == 200
+    assert result["violations"] == []
+    assert result["random_attachments"] == 200
 
 
 def test_criterion_5_optima_structure():
     result = optima_structure_sweep(12)
     _record(
         5,
-        result.passed,
-        f"all {result.optima_examined} optima of {result.stable_trees} stable trees "
-        f"avoid label 1 and 2-labeled leaves; {result.sites_examined} branch sites "
-        f"({len(result.violations)} violations)",
+        result["passed"],
+        f"all {result['optima_examined']} optima of {result['stable_trees']} stable trees "
+        f"avoid label 1 and 2-labeled leaves; {result['sites_examined']} branch sites "
+        f"({len(result['violations'])} violations)",
     )
-    assert result.violations == []
+    assert result["violations"] == []
 
 
 def test_criterion_6_certificate_round_trip():

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -36,6 +37,8 @@ from prdom import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+# SHA-256 of the compact, key-sorted "result" of `verify --suite all --max-n 14`
+VERIFY_14_RESULT_SHA256 = "58dee713fd5d8dbd65233d59a3a8eeb02fcb0071dc69c00cef9317481c9e9118"
 P3_EDGELIST = "3\n0 1\n1 2\n"
 P6_EDGELIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -303,6 +306,15 @@ def test_verify_all_clamps_each_suite(monkeypatch, capsys):
     assert suites["observation"]["max_n"] == 12  # clamped to its own cap
 
 
+def test_verify_result_bytes_are_pinned(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "all", "--max-n", "14"], "", monkeypatch, capsys
+    )
+    assert code == 0
+    compact = json.dumps(json.loads(out)["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(compact.encode()).hexdigest() == VERIFY_14_RESULT_SHA256
+
+
 def test_verify_certificate_round_trip(tmp_path, monkeypatch, capsys):
     cert_path = tmp_path / "cert.txt"
     tree_path = tmp_path / "tree.txt"
@@ -365,12 +377,11 @@ def test_verify_certificate_mismatched_input(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_property_failure_exit_code(monkeypatch, capsys):
-    from prdom.sweeps import CharacterizationResult
-
-    failing = CharacterizationResult(max_n=5)
-    failing.mismatches.append({"n": 5, "edges": [], "stable": True,
-                               "recognized": False, "family_member": False,
-                               "reason": None})
+    mismatch = {"n": 5, "edges": [], "stable": True, "recognized": False,
+                "family_member": False, "reason": None}
+    failing = {"max_n": 5, "trees_checked": 1, "stable_per_order": {"5": 1},
+               "mismatches": [mismatch], "profile_violations": [],
+               "degree_rejections_of_stable": [], "passed": False}
     monkeypatch.setattr(prdom.sweeps, "characterization_sweep", lambda max_n: failing)
     code, out, _ = run_cli(
         ["verify", "--suite", "theorem", "--max-n", "5"], "", monkeypatch, capsys

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -12,10 +14,8 @@ import prdom.graphs
 from prdom import (
     Assignment,
     Certificate,
-    FamilyIndex,
     OptimaReport,
     StabilityReport,
-    enumerate_family,
     make_path,
     optima_report,
     optimal_assignment,
@@ -82,15 +82,45 @@ def test_records_are_read_only_named_tuples():
         stability_report(t),
         optima_report(t),
         Certificate(steps=()),
-        enumerate_family(6),
     ]
-    assert [type(r) for r in records] == [
-        Assignment, StabilityReport, OptimaReport, Certificate, FamilyIndex
-    ]
+    assert [type(r) for r in records] == [Assignment, StabilityReport, OptimaReport, Certificate]
     for record in records:
         assert isinstance(record, tuple)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    family = records[-1]
-    assert len(family) == len(family.members) == 1
-    assert next(iter(family.members)) in family
+
+
+def test_the_cli_and_the_sweeps_leave_dataclasses_unloaded():
+    script = "import sys\nimport prdom.cli, prdom.sweeps\nprint('dataclasses' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_every_traced_name_is_a_function_its_module_defines():
+    # prdbench/run.py wraps each LAYER_FUNCTIONS name, "module.name" or
+    # "module.Class.method" ("init" for __init__), and its traced runs stop
+    # with a KeyError on a name that prdom no longer defines
+    source = (ROOT / "prdbench" / "run.py").read_text()
+    table = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LAYER_FUNCTIONS" for target in node.targets)
+    )
+    names = [ast.literal_eval(key) for key in table.keys]
+    assert names
+    for name in names:
+        module_name, attr, *method = name.split(".")
+        module = import_module(f"prdom.{module_name}")
+        obj = vars(module).get(attr)
+        assert getattr(obj, "__module__", None) == module.__name__, name
+        for m in method:
+            obj = vars(obj).get("__init__" if m == "init" else m)
+        assert inspect.isfunction(obj), name
+        assert obj.__code__.co_filename == module.__file__, name
