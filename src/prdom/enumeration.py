@@ -3,7 +3,10 @@
 ``enumerate_free_trees`` yields one representative per isomorphism class in
 a single stage: the Wright-Richmond-Odlyzko-McKay generator walks canonical
 level sequences rooted at a center and emits each free tree exactly once,
-so nothing is filtered or deduplicated afterwards. The independent
+so nothing is filtered or deduplicated afterwards. The generator itself
+(``_free_tree_parents``) yields parent arrays in preorder, which already
+are walks; ``enumerate_free_trees`` is their ``Tree`` view, and a caller
+that needs only a walk skips building the ``Tree``. The independent
 cross-check path, generating every labeled tree from its Prufer sequence,
 lives here too; it is exponentially slower and exists so the two
 generators can be compared on small orders.
@@ -74,20 +77,20 @@ def _split_first_subtree(seq: Sequence[int]) -> tuple[list[int], list[int]]:
     return [lev - 1 for lev in seq[1:m]], [1, *seq[m:]]
 
 
-def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """One tree per isomorphism class, in a fixed deterministic order.
+def _free_tree_parents(n: int) -> Iterator[list[int]]:
+    """The parent array of one tree per isomorphism class, n >= 1.
 
     Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15(2), 1986): walk
     the canonical level sequences rooted at a center and keep those whose
     first root subtree is not above the rest of the tree in (height, size,
     level sequence) order. When a sequence fails the test, the walk jumps
     straight to the next one that passes, so every class is produced
-    exactly once and in constant amortized time.
+    exactly once and in constant amortized time. A level sequence lists its
+    tree in preorder, so every parent precedes its children and
+    ``(range(n), parent)`` is a walk of the tree; the root is vertex 0.
     """
-    if not (1 <= n <= FREE_TREE_MAX_N):
-        raise ValueError(f"supported range is 1..{FREE_TREE_MAX_N}, got {n}")
     if n <= 2:
-        yield make_path(n)
+        yield list(range(-1, n - 1))
         return
     # the path, rooted at its center
     seq: list[int] | None = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
@@ -103,8 +106,17 @@ def enumerate_free_trees(n: int) -> Iterator[Tree]:
                 top = max(_split_first_subtree(jumped)[0])
                 jumped[n - top :] = range(2, top + 2)
             seq = jumped
-        yield _parents_to_tree(_sequence_parents(seq))
+        yield _sequence_parents(seq)
         seq = _next_rooted(seq)
+
+
+def enumerate_free_trees(n: int) -> Iterator[Tree]:
+    """One tree per isomorphism class, in a fixed deterministic order: the
+    ``Tree`` of each parent array ``_free_tree_parents`` yields."""
+    if not (1 <= n <= FREE_TREE_MAX_N):
+        raise ValueError(f"supported range is 1..{FREE_TREE_MAX_N}, got {n}")
+    for parent in _free_tree_parents(n):
+        yield _parents_to_tree(parent)
 
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:

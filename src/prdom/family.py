@@ -15,8 +15,9 @@ FZ(T) = FZ(T') + {n, n+2} when u is in FZ(T'). Sketch: the chain costs 2,
 as (0, 2, 0), or (0, 0, 2) when u is 2. The only other useful chain,
 (2, 0, 1), costs 3 and leaves u a 0 with no 2-neighbor in T'; relabelling u
 to 1 gives a labeling of T', so it at best ties an optimum with u at 1 and
-adds the label 0 at u only. So ``recognize`` runs one forced-zero pass, and
-every walk from P3 carries FZ(P3) = [0, 2], appending n and n+2 per step.
+adds the label 0 at u only. So ``recognize`` runs at most one forced-zero
+pass, and every walk from P3 carries FZ(P3) = [0, 2], appending n and n+2
+per step.
 
 Deletion lemma: peeling a pendant 3-path off a stable tree T leaves a stable
 tree T'. The chain adds exactly 2 whatever its anchor, so for v other than
@@ -181,7 +182,9 @@ def recognize(t: Tree) -> RecognitionResult:
     Greedy peeling: reject orders not divisible by 3 up front (no member
     has one), then peel pendant 3-paths x1-x2-x3 off forced-zero anchors x4
     until the 3-vertex base is left. One forced-zero pass on the input
-    serves every peel (each peeled tree's set is the input's, restricted).
+    serves every peel (each peeled tree's set is the input's, restricted),
+    and it runs only when a peel first reaches an anchor check, so a tree
+    rejected by its order or by a degree pays for no rerooting pass.
     The input's adjacency is read, never copied: a degree and a
     neighbor-label sum per vertex give the other neighbor of any degree-2
     vertex. A worklist holds the leaves that may start a peel; a peel
@@ -192,7 +195,7 @@ def recognize(t: Tree) -> RecognitionResult:
     """
     if t.n % 3 != 0:
         return RecognitionResult(False, None, ORDER_NOT_MULTIPLE_OF_3)
-    forced = forced_zero_set(t) if t.n > 3 else frozenset()
+    forced: frozenset[int] | None = None
     adj = t.adjacency
     degree = list(map(len, adj))
     label_sum = list(map(sum, adj))
@@ -200,12 +203,15 @@ def recognize(t: Tree) -> RecognitionResult:
 
     def blocked(x1: int) -> str | None:
         """Why the pendant path that leaf x1 ends cannot be peeled, or None."""
+        nonlocal forced
         x2 = label_sum[x1]
         if degree[x2] != 2:
             return SECOND_NOT_DEGREE_2
         x3 = label_sum[x2] - x1  # the other neighbor
         if degree[x3] != 2:
             return THIRD_NOT_DEGREE_2
+        if forced is None:
+            forced = forced_zero_set(t)
         if label_sum[x3] - x2 not in forced:
             return ANCHOR_NOT_FORCED_ZERO
         return None

@@ -45,7 +45,7 @@ as "every".
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .graphs import Forest, Graph, SizeLimitError, Tree
@@ -151,81 +151,88 @@ class _RootCosts(NamedTuple):
         return min(self.a[0], self.c[0], self.d[0])
 
 
+def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> Iterator[int]:
+    """Turn a walk's down table into the table rooted at every vertex. O(n).
+
+    ``table`` is ``_tables``' result on the same walk, rewritten in place
+    top-down: when the pass yields a vertex v, v's four entries are the
+    costs of v's whole component rooted at v, so C(v) - 1 is the number of
+    T - v, whose components are exactly v's neighbour sides. Entries of
+    vertices not yet yielded still cover only their subtrees. A vertex v
+    with parent p takes p's side away from v from p's finished entries:
+    B, C and D sum over p's sides, so v's part is subtracted; A adds the
+    cheapest swap to D, so each vertex also keeps its second-cheapest swap
+    and which side holds the cheapest. A caller may stop the pass at the
+    first vertex it has seen enough of; ``_all_roots`` drains it.
+    """
+    a, b, c, d = table
+    n = len(order)
+    # per vertex: the second-cheapest swap over its children, and the child
+    # with the cheapest; the cheapest itself is A - B
+    second = [INFEASIBLE] * n
+    holder = [-1] * n
+    for u, p in enumerate(parent):
+        if p >= 0:
+            au, cu = a[u], c[u]
+            swap = d[u] - (au if au < cu else cu)
+            if holder[p] < 0 and swap == a[p] - b[p]:
+                holder[p] = u
+            elif swap < second[p]:
+                second[p] = swap
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            av, bv, cv, dv = a[v], b[v], c[v], d[v]
+            # p's side away from v: p's costs less what v's subtree added
+            # to them in _tables
+            vac = av if av < cv else cv
+            pb = b[p] - vac
+            pa = pb + (second[p] if holder[p] == v else a[p] - b[p])
+            pc = c[p] - (vac if vac < dv else dv)
+            pd = d[p] - min(bv, cv, dv)
+            # ... which v adds to its own costs as one more child
+            pac = pa if pa < pc else pc
+            swap = pd - pac
+            best = av - bv
+            if swap < best:
+                second[v], holder[v], best = best, p, swap
+            elif swap < second[v]:
+                second[v] = swap
+            b[v] = bv = bv + pac
+            a[v] = bv + best
+            c[v] = cv + (pac if pac < pd else pd)
+            d[v] = dv + min(pb, pc, pd)
+        yield v
+
+
 def _all_roots(x: Forest) -> _RootCosts:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
-    The down tables along the forest's walk give each vertex's side below
-    its parent. One top-down pass adds the side above: for a vertex u with
-    parent p, the four states of p with u's subtree cut away. The sums over
-    a vertex's neighbours drop one neighbour by subtraction; the A state's
-    cheapest swap to D drops one by keeping the best two swaps and which
-    neighbour holds the best. With every neighbour side known, C at v is 1
-    plus the sum of each side's best root state, and that sum alone is the
-    number of T - v, whose components are exactly those sides. On a forest
+    The down tables along the forest's walk, turned by one drained
+    ``_reroot`` pass into every vertex's whole-component costs. On a forest
     every cost is that of the vertex's own component.
     """
-    adj = x.adjacency
-    n = len(adj)
     order, parent = x.walk
     table = _tables(order, parent)
-    # What each side contributes to the vertex it hangs from, as in _tables:
-    # min(A, C), min(A, C, D), min(B, C, D) and the swap D - min(A, C).
-    # Index u is u's subtree for down_*, and p's side away from u for up_*.
-    down_ac = [0] * n
-    down_acd = [0] * n
-    down_bcd = [0] * n
-    down_swap = [0] * n
-    for u, (au, bu, cu, du) in enumerate(zip(table.a, table.b, table.c, table.d)):
-        mac = au if au < cu else cu
-        down_ac[u] = mac
-        down_acd[u] = mac if mac < du else du
-        down_bcd[u] = min(bu, cu, du)
-        down_swap[u] = du - mac
-    up_ac = [0] * n
-    up_acd = [0] * n
-    up_bcd = [0] * n
-    up_swap = [0] * n
-    full_a = [0] * n
-    full_c = [0] * n
-    full_d = [0] * n
-    deleted = [0] * n
-    for p in order:
-        q = parent[p]
-        if q >= 0:
-            s_ac, s_acd, s_bcd = up_ac[p], up_acd[p], up_bcd[p]
-            best, holder = up_swap[p], q
-        else:
-            s_ac = s_acd = s_bcd = 0
-            best, holder = INFEASIBLE, -1
-        second = INFEASIBLE
-        for u in adj[p]:
-            if u == q:
-                continue
-            s_ac += down_ac[u]
-            s_acd += down_acd[u]
-            s_bcd += down_bcd[u]
-            swap = down_swap[u]
-            if swap < best:
-                best, second, holder = swap, best, u
-            elif swap < second:
-                second = swap
-        full_a[p] = s_ac + best
-        full_c[p] = 1 + s_acd
-        full_d[p] = 2 + s_bcd
-        deleted[p] = s_acd
-        for u in adj[p]:
-            if u == q:
-                continue
-            ub = s_ac - down_ac[u]
-            ua = ub + (second if u == holder else best)
-            uc = 1 + s_acd - down_acd[u]
-            ud = 2 + s_bcd - down_bcd[u]
-            mac = ua if ua < uc else uc
-            up_ac[u] = mac
-            up_acd[u] = mac if mac < ud else ud
-            up_bcd[u] = min(ub, uc, ud)
-            up_swap[u] = ud - mac
-    return _RootCosts(a=full_a, c=full_c, d=full_d, deleted=deleted)
+    for _ in _reroot(order, parent, table):
+        pass
+    return _RootCosts(a=table.a, c=table.c, d=table.d, deleted=[cv - 1 for cv in table.c])
+
+
+def _deletion_stable(order: Sequence[int], parent: Sequence[int]) -> bool:
+    """Whether deleting any one vertex of a tree leaves its number unchanged,
+    from a walk alone: any order that puts each parent before its children.
+
+    The down table already holds the root's whole-tree costs, so the root's
+    own deletion, whose number is C(root) - 1, is checked before the
+    rerooting pass starts; the pass then stops at the first vertex whose
+    deletion changes the number.
+    """
+    table = _tables(order, parent)
+    a, _, c, d = table
+    root = order[0]
+    number = min(a[root], c[root], d[root])
+    return c[root] - 1 == number and all(c[v] - 1 == number for v in _reroot(order, parent, table))
 
 
 def prd_number(x: Forest) -> int:

@@ -7,6 +7,14 @@ recognizer, and membership in the breadth-first closure of the
 construction. The attachment sweep measures the weight delta of each
 pendant attachment, and the optima sweep inspects the structure of all
 minimum-weight labelings of every stable tree.
+
+Stability is decided on the free-tree generator's parent arrays, which are
+walks, by ``solver._deletion_stable``: one bottom-up table, the root's
+deletion read from it, then a rerooting pass that stops at the first
+deletion that changes the number. Most trees fail early, and only a few
+are stable. A ``Tree`` is built only for a tree that is stable or whose
+order is divisible by 3, the trees that the recognizer, the closure or a
+later suite must see.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import functools
 import random
 
 from .canonical import canonical_form
-from .enumeration import enumerate_free_trees, random_labeled_tree
+from .enumeration import _free_tree_parents, _parents_to_tree, random_labeled_tree
 from .family import (
     SECOND_NOT_DEGREE_2,
     THIRD_NOT_DEGREE_2,
@@ -24,8 +32,8 @@ from .family import (
     recognize,
 )
 from .graphs import Tree
-from .solver import SizeLimitError, forced_zero_set, prd_number
-from .stability import attach_pendant_path, optima_report, stability_report
+from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
+from .stability import attach_pendant_path, optima_report
 
 CHARACTERIZATION_MAX_N = 15
 ATTACHMENT_MAX_N = 15
@@ -34,7 +42,6 @@ ATTACHMENT_RANDOM_MAX_N = 60
 OPTIMA_SWEEP_MAX_N = 12
 
 _DEGREE_REASONS = (SECOND_NOT_DEGREE_2, THIRD_NOT_DEGREE_2)
-_DEGREE_REASONS = (SECOND_NOT_DEGREE_2, THIRD_NOT_DEGREE_2)
 
 
 def characterization_sweep(max_n: int) -> dict:
@@ -42,8 +49,13 @@ def characterization_sweep(max_n: int) -> dict:
 
     Every free tree with 3 <= n <= max_n is tested; the three answers must
     agree pairwise. Recognized trees must also have order divisible by 3
-    and domination number exactly 2n/3. Returns the payload ``verify``
-    reports, with ``stable_per_order`` keyed by the order as a string.
+    and domination number exactly 2n/3. Stability is decided from the
+    generator's parent array alone. The ``Tree`` that recognition and the
+    canonical form read is built only when the tree is stable or its order
+    is divisible by 3: any other tree is no member, and ``recognize``
+    rejects its order before it looks at the edges, so all three routes
+    say no. Returns the payload ``verify`` reports, with
+    ``stable_per_order`` keyed by the order as a string.
     """
     if max_n > CHARACTERIZATION_MAX_N:
         raise SizeLimitError(
@@ -57,11 +69,14 @@ def characterization_sweep(max_n: int) -> dict:
     for n in range(3, max_n + 1):
         family_keys = enumerate_family(n).keys() if n % 3 == 0 else None
         stable_count = 0
-        for t in enumerate_free_trees(n):
-            stable = stability_report(t).stable
+        for parent in _free_tree_parents(n):
+            trees_checked += 1
+            stable = _deletion_stable(range(n), parent)
+            if not stable and n % 3:
+                continue
+            t = _parents_to_tree(parent)
             rec = recognize(t)
             member = family_keys is not None and canonical_form(t) in family_keys
-            trees_checked += 1
             if not (stable == rec.accepted == member):
                 mismatches.append(
                     {
@@ -93,8 +108,13 @@ def characterization_sweep(max_n: int) -> dict:
 
 @functools.cache
 def _stable_trees(n: int) -> tuple[Tree, ...]:
-    """The stable free trees of order n, found once for both suites that read them."""
-    return tuple(t for t in enumerate_free_trees(n) if stability_report(t).stable)
+    """The stable free trees of order n, found once for both suites that read
+    them; a ``Tree`` is built only for a stable parent array."""
+    return tuple(
+        _parents_to_tree(parent)
+        for parent in _free_tree_parents(n)
+        if _deletion_stable(range(n), parent)
+    )
 
 
 def _stable_trees_up_to(max_n: int) -> list[Tree]:

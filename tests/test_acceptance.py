@@ -4,6 +4,8 @@ The lines also appear in the terminal summary (see conftest). Budgets are
 asserted, not just observed: the whole suite is meant to run on a laptop.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -32,6 +34,8 @@ ACCEPTANCE_LINES = []
 
 ORACLE_SEED = 20260808
 WALK_SEED = 42
+# SHA-256 of characterization_sweep(15)'s compact, key-sorted payload
+CHARACTERIZATION_15_SHA256 = "54cd2478c5de5a14634158e0679bb857c8bbe518ecd019e3d02f68c23612a798"
 
 
 def _record(num: int, passed: bool, detail: str) -> None:
@@ -89,6 +93,8 @@ def test_criterion_2_characterization_sweep(characterization_15):
     assert result["mismatches"] == []
     assert result["degree_rejections_of_stable"] == []
     assert elapsed < 600
+    compact = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(compact.encode()).hexdigest() == CHARACTERIZATION_15_SHA256
 
 
 def test_criterion_3_stable_profile(characterization_15):

@@ -29,6 +29,7 @@ from prdom import (
     longest_path,
     make_double_star,
     make_path,
+    make_spider,
     make_star,
     parse_certificate,
     prd_number,
@@ -362,13 +363,13 @@ def test_stable_trees_are_enumerated_once_per_order(monkeypatch):
     # the attachment and optima suites of verify --suite all share each
     # order's stable trees
     orders = []
-    enumerate_all = sweeps.enumerate_free_trees
+    enumerate_all = sweeps._free_tree_parents
 
     def counted(n):
         orders.append(n)
         return enumerate_all(n)
 
-    monkeypatch.setattr(sweeps, "enumerate_free_trees", counted)
+    monkeypatch.setattr(sweeps, "_free_tree_parents", counted)
     sweeps._stable_trees.cache_clear()
     try:
         assert sweeps.attachment_delta_sweep(12)["passed"]
@@ -376,6 +377,12 @@ def test_stable_trees_are_enumerated_once_per_order(monkeypatch):
     finally:
         sweeps._stable_trees.cache_clear()
     assert orders == [3, 6, 9, 12]
+
+
+def test_stable_trees_are_the_free_trees_the_report_calls_stable():
+    for n in range(3, 16, 3):
+        expected = [t.edges() for t in enumerate_free_trees(n) if stability_report(t).stable]
+        assert [t.edges() for t in sweeps._stable_trees(n)] == expected
 
 
 def _check_against_the_oracle(t):
@@ -487,9 +494,32 @@ def test_one_forced_zero_pass_per_recognize(forced_zero_calls):
         forced_zero_calls.clear()
         assert recognize(t).accepted
         assert forced_zero_calls == [t.n]
+    # the pass runs when a peel first reaches an anchor check, and only then
+    forced_zero_calls.clear()
+    assert recognize(make_spider([3, 2, 2, 1])).reason == family.ANCHOR_NOT_FORCED_ZERO
+    assert forced_zero_calls == [9]
     forced_zero_calls.clear()
     assert not recognize(make_double_star(4, 3)).accepted  # n = 9
-    assert forced_zero_calls == [9]
+    assert forced_zero_calls == []
+
+
+def test_recognize_runs_no_rerooting_pass_before_an_anchor_check(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recognize ran a rerooting pass")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prdom":
+            for helper in ("_all_roots", "_reroot", "forced_zero_set"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+    rejected = {
+        make_path(4): family.ORDER_NOT_MULTIPLE_OF_3,
+        make_star(5): family.SECOND_NOT_DEGREE_2,
+        make_double_star(4, 3): family.SECOND_NOT_DEGREE_2,
+        make_spider([2, 2, 2, 2, 2, 1]): family.THIRD_NOT_DEGREE_2,
+    }
+    for t, reason in rejected.items():
+        assert recognize(t).reason == reason
 
 
 def test_no_forced_zero_pass_in_the_construction_walks(forced_zero_calls, capsys):

@@ -25,8 +25,10 @@ def test_run_child_kills_and_reaps_its_child_when_interrupted(monkeypatch):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def test_startup_record_compares_two_sides_that_agree():
-    record = json.loads((ROOT / "BENCH_startup.json").read_text())
+def _check_two_sides_that_agree(record_name):
+    """A bench record holds a parent and a change side, each with every
+    command of its workload, and each command's report digest agrees."""
+    record = json.loads((ROOT / record_name).read_text())
     assert {"date", "machine", "python", "pythondontwritebytecode", "workload"} <= record.keys()
     workload = record["workload"]
     sides = record["results"]
@@ -41,3 +43,11 @@ def test_startup_record_compares_two_sides_that_agree():
             assert min(entry["wall_s_runs"]) <= entry["wall_s"] <= max(entry["wall_s_runs"])
             assert len(entry["report_sha256"]) == 1
         assert parent["report_sha256"] == change["report_sha256"], command
+
+
+def test_startup_record_compares_two_sides_that_agree():
+    _check_two_sides_that_agree("BENCH_startup.json")
+
+
+def test_verify_record_compares_two_sides_that_agree():
+    _check_two_sides_that_agree("BENCH_verify.json")

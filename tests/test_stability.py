@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_trees
+from conftest import labeled_trees, shuffled_member
 from prdom import (
+    Graph,
     SizeLimitError,
+    Tree,
     attach_pendant_path,
     branch_sites,
     brute_force,
@@ -18,6 +22,8 @@ from prdom import (
     remove_vertex,
     stability_report,
 )
+from prdom.enumeration import _free_tree_parents, _parents_to_tree
+from prdom.solver import _deletion_stable
 
 
 def test_p3_is_stable():
@@ -85,6 +91,52 @@ def test_stability_report_matches_literal_deletion_on_all_small_trees():
 def test_stability_report_matches_literal_deletion_random(t):
     r = stability_report(t)
     assert (r.base, r.deltas) == _literal_deltas(t)
+
+
+def test_walk_stability_matches_the_report_on_every_generated_array():
+    # the generator's parent arrays, read as walks in preorder, against the
+    # full report on the Tree built from each
+    for n in range(1, 14):
+        for parent in _free_tree_parents(n):
+            expected = stability_report(_parents_to_tree(parent)).stable
+            assert _deletion_stable(range(n), parent) == expected
+
+
+def _prune_and_regraft(t, rng):
+    """Cut a random edge and hang the cut-off side at a random vertex of the rest."""
+    edges = t.edges()
+    _, v = edges.pop(rng.randrange(len(edges)))
+    adj = Graph(t.n, edges).adjacency
+    side = {v}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in side:
+                side.add(w)
+                stack.append(w)
+    rest = [w for w in range(t.n) if w not in side]
+    return Tree(Graph(t.n, [*edges, (v, rng.choice(rest))]))
+
+
+def test_walk_stability_matches_the_report_on_shuffled_members_and_mutants():
+    # BFS walks of shuffled labels; members are stable, and a good share of
+    # their one-edge mutants too, so the pass runs to the end both ways
+    rng = random.Random(16)
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        member = shuffled_member(rng.randint(0, 60), rng)
+        assert _deletion_stable(*member.walk) and stability_report(member).stable
+        for t in [_prune_and_regraft(member, rng) for _ in range(3)]:
+            stable = stability_report(t).stable
+            assert _deletion_stable(*t.walk) == stable
+            outcomes[stable] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@given(labeled_trees(max_n=40))
+@settings(max_examples=200, deadline=None)
+def test_walk_stability_matches_the_report_random(t):
+    assert _deletion_stable(*t.walk) == stability_report(t).stable
 
 
 def test_attach_pendant_path_labels():
