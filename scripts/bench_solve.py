@@ -24,7 +24,9 @@ Every command runs ``REPEAT`` times per input and side, the sides taking
 turns run by run, so a drift in the machine's speed hits each alike. The
 medians per side go to ``--out`` with the machine, the Python version and
 the workload, and a digest of each report without its ``timing`` key, so
-that sides can be seen to agree. Stdlib only.
+that sides can be seen to agree. The record notes
+``PYTHONDONTWRITEBYTECODE``, since with it set every child compiles the
+modules it imports instead of reading cached bytecode. Stdlib only.
 """
 
 from __future__ import annotations
@@ -198,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         "date": datetime.date.today().isoformat(),
         "machine": machine(),
         "python": platform.python_version(),
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "workload": {
             "vertices": N,
             "seed": SEED,

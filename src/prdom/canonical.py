@@ -5,20 +5,20 @@ component is rooted at its centroid; with two centroids the central edge is
 cut and both orientations of the pair encoding are tried, keeping the
 smaller. The rooted encoding is the balanced-parenthesis form, children in
 the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
-forest is encoded in place: the forest's own ``walk`` finds the
-centroids, one ``rooted_order`` walk roots every component there, and each
-level is ranked over all components at once, bottom-up. Ranking a level
-pushes each vertex's code up to its parent, so the level above reads its
-keys from those codes without scanning the adjacency again: O(n log n),
-without recursion or relabelling.
+forest is encoded in place, from its ``walk`` alone: the walk finds the
+centroids, reversing the parent links from each walk root down to its
+centroid roots the component there, and each level is ranked over all
+components at once, bottom-up. Ranking a level pushes each vertex's code up
+to its parent, in ascending order, so the level above sorts by those lists
+without scanning the adjacency: O(n log n), without recursion or
+relabelling.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 
-from .graphs import Forest, Tree, rooted_order
+from .graphs import Forest, Tree
 
 CanonicalForm = bytes
 
@@ -52,59 +52,94 @@ def centroids(t: Tree) -> tuple[int, ...]:
     return tuple(_centroids(*t.walk)[0])
 
 
-def _parenthesize(table: list[tuple[int, ...]], code: int) -> bytes:
-    """The parenthesis string of a subtree class, children in code order."""
+def _parenthesize(table: list[list[int]], code: int) -> bytes:
+    """The parenthesis string of a subtree class, children in code order. A
+    chain of single-child classes opens as one run of ``(`` and, once the
+    chain's last class is written, closes as one run of ``)``."""
     out = bytearray()
-    stack = [code]
+    stack = [code]  # a code to write, or minus the length of a run to close
     while stack:
         c = stack.pop()
         if c < 0:
-            out.append(41)  # )
+            out += b")" * -c
             continue
-        out.append(40)  # (
-        stack.append(-1)
-        stack.extend(reversed(table[c]))
+        run = 1
+        kids = table[c]
+        while len(kids) == 1:
+            run += 1
+            kids = table[kids[0]]
+        out += b"(" * run
+        if kids:
+            stack.append(-run)
+            stack.extend(reversed(kids))
+        else:
+            out += b")" * run
     return bytes(out)
 
 
 def canonical_forms(x: Forest) -> list[CanonicalForm]:
     """One relabeling-invariant form per component, in order of each
     component's smallest vertex: equal forms iff isomorphic components."""
-    adj = x.adjacency
-    cents = _centroids(*x.walk)
-    order, parent = rooted_order(adj, [cs[0] for cs in cents])
+    order, walk_parent = x.walk
+    cents = _centroids(order, walk_parent)
+    # Root each component at its centroid by reversing the walk's parent
+    # links from the walk root down to it. With two centroids, the one that
+    # is the other's walk child keeps its walk subtree and the central edge
+    # is cut: two rooted halves.
+    parent = list(walk_parent)
+    depth = [0] * len(order)
     for cs in cents:
+        top = cs[0]
         if len(cs) == 2:
-            parent[cs[1]] = -1  # cut the central edge: two rooted halves
+            low = cs[1]
+            if walk_parent[low] != top:
+                top, low = low, top
+            parent[low] = -1
+        up, d, v = -1, 0, top
+        while v >= 0:
+            parent[v] = up
+            depth[v] = d
+            up, v, d = v, walk_parent[v], d + 1
+    # In walk order, each vertex's new parent is its walk parent, seen
+    # before it, or a vertex on a reversed path, whose depth is set above.
     levels: list[list[int]] = []
-    code = [0] * len(adj)  # the depth, until the vertex's level is ranked
     for v in order:
         p = parent[v]
-        d = code[v] = code[p] + 1 if p >= 0 else 0
-        if d == len(levels):
+        d = depth[v] = depth[p] + 1 if p >= 0 else 0
+        while d >= len(levels):
             levels.append([])
         levels[d].append(v)
-    # Isomorphic subtrees share a code c; table[c] holds its sorted child
-    # codes, which alone rank the level, so one ranking serves every tree.
-    # pushed[v] collects the codes of v's children as their level is ranked.
-    table: list[tuple[int, ...]] = []
-    pushed: defaultdict[int, list[int]] = defaultdict(list)
+    # Isomorphic subtrees share a code c; table[c] lists its child codes in
+    # ascending order, which alone rank a level, so one ranking serves every
+    # tree. Sorted by those lists, a level hands out its codes in ascending
+    # order, so each parent's list (kids) fills up already sorted.
+    leaf: list[int] = []  # shared by every vertex that has no list yet
+    kids = [leaf] * len(order)
+    table: list[list[int]] = []
+    root_code: dict[int, int] = {}
     for level in reversed(levels):
-        keys = [tuple(sorted(pushed[v])) if v in pushed else () for v in level]
-        distinct = sorted(set(keys))
-        rank = {key: c for c, key in enumerate(distinct, len(table))}
-        table += distinct
-        pushed = defaultdict(list)
-        for v, key in zip(level, keys):
-            c = code[v] = rank[key]
+        level.sort(key=kids.__getitem__)
+        c = len(table) - 1
+        prev: list[int] | None = None
+        for v in level:
+            key = kids[v]
+            if key != prev:
+                c += 1
+                table.append(key)
+                prev = key
+            kids[v] = leaf  # drop v's list unless the table holds it
             p = parent[v]
-            if p >= 0:
-                pushed[p].append(c)
+            if p < 0:
+                root_code[v] = c
+            elif kids[p] is leaf:
+                kids[p] = [c]
+            else:
+                kids[p].append(c)
     forms = []
     for cs in cents:
         # no encoding is a prefix of another, so sorted halves give the
         # smaller of the two concatenations
-        halves = sorted(_parenthesize(table, code[c]) for c in cs)
+        halves = sorted(_parenthesize(table, root_code[c]) for c in cs)
         forms.append((b"B" if len(cs) == 2 else b"C") + b"".join(halves))
     return forms
 

@@ -17,6 +17,7 @@ input, 3 size limit, 4 internal invariant breach or any other error.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -344,6 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds no reference cycles: its data are lists and tuples of
+    # ints and records without a __dict__, so the cyclic collector's passes
+    # over them would free nothing. It is off while the command runs and put
+    # back as found, for callers that run main in-process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -365,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"prdom: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ A ``Graph`` is plain immutable data: its order and adjacency. A ``Forest``
 is a ``Graph`` that carries its walk: built from a graph, it shares that
 graph's adjacency, walks it once while it validates, and keeps the walk as
 ``Forest.walk``: the ``rooted_order`` of the adjacency with every component
-rooted at its smallest vertex, as two tuples. The DP tables, the rerooting
-pass and the centroid search read it instead of walking the graph again.
+rooted at its smallest vertex, as two tuples. The DP tables, the witness,
+the rerooting pass and the canonical digest, which finds the centroids on
+it and re-roots it there, read it instead of walking the graph again.
 A ``Tree`` is a ``Forest`` with one component. Equality and hashing are by
 content, so a ``Tree`` equals the ``Graph`` it was built from.
 """

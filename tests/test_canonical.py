@@ -1,8 +1,15 @@
+import hashlib
 import itertools
+import random
+from collections import defaultdict
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prdom.canonical
+import prdom.graphs
 from conftest import labeled_forests, labeled_trees
 from prdom import (
     Forest,
@@ -17,7 +24,10 @@ from prdom import (
     make_star,
     make_spider,
     remove_vertex,
+    tree_from_prufer,
 )
+from prdom.canonical import _centroids
+from prdom.graphs import rooted_order
 
 
 def _relabel(t: Tree, perm) -> Tree:
@@ -106,3 +116,140 @@ def test_forest_forms_are_relabeling_invariant(f, rng):
     rng.shuffle(perm)
     g = Forest(Graph(f.n, [(perm[u], perm[v]) for u, v in f.edges()]))
     assert sorted(canonical_forms(g)) == sorted(canonical_forms(f))
+
+
+# The encoder as it was before it re-rooted Forest.walk: a second rooted_order
+# walk from the centroids and a fresh dict of pushed codes per level. It is
+# the reference the re-rooting encoder must match byte for byte.
+def _parenthesize_by_sentinels(table: list[tuple[int, ...]], code: int) -> bytes:
+    """The parenthesis string of a subtree class, children in code order."""
+    out = bytearray()
+    stack = [code]
+    while stack:
+        c = stack.pop()
+        if c < 0:
+            out.append(41)  # )
+            continue
+        out.append(40)  # (
+        stack.append(-1)
+        stack.extend(reversed(table[c]))
+    return bytes(out)
+
+
+def _forms_by_second_walk(x: Forest) -> list[bytes]:
+    """One relabeling-invariant form per component, in order of each
+    component's smallest vertex: equal forms iff isomorphic components."""
+    adj = x.adjacency
+    cents = _centroids(*x.walk)
+    order, parent = rooted_order(adj, [cs[0] for cs in cents])
+    for cs in cents:
+        if len(cs) == 2:
+            parent[cs[1]] = -1  # cut the central edge: two rooted halves
+    levels: list[list[int]] = []
+    code = [0] * len(adj)  # the depth, until the vertex's level is ranked
+    for v in order:
+        p = parent[v]
+        d = code[v] = code[p] + 1 if p >= 0 else 0
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(v)
+    # Isomorphic subtrees share a code c; table[c] holds its sorted child
+    # codes, which alone rank the level, so one ranking serves every tree.
+    # pushed[v] collects the codes of v's children as their level is ranked.
+    table: list[tuple[int, ...]] = []
+    pushed: defaultdict[int, list[int]] = defaultdict(list)
+    for level in reversed(levels):
+        keys = [tuple(sorted(pushed[v])) if v in pushed else () for v in level]
+        distinct = sorted(set(keys))
+        rank = {key: c for c, key in enumerate(distinct, len(table))}
+        table += distinct
+        pushed = defaultdict(list)
+        for v, key in zip(level, keys):
+            c = code[v] = rank[key]
+            p = parent[v]
+            if p >= 0:
+                pushed[p].append(c)
+    forms = []
+    for cs in cents:
+        # no encoding is a prefix of another, so sorted halves give the
+        # smaller of the two concatenations
+        halves = sorted(_parenthesize_by_sentinels(table, code[c]) for c in cs)
+        forms.append((b"B" if len(cs) == 2 else b"C") + b"".join(halves))
+    return forms
+
+
+def test_forms_match_the_second_walk_on_all_small_trees():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            assert canonical_forms(t) == _forms_by_second_walk(t)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shuffled = _relabel(t, perm)
+                assert canonical_forms(shuffled) == _forms_by_second_walk(shuffled)
+
+
+@given(labeled_forests())
+@settings(max_examples=300, deadline=None)
+def test_forms_match_the_second_walk_on_forests(f):
+    assert canonical_forms(f) == _forms_by_second_walk(f)
+
+
+@pytest.mark.parametrize(
+    "forest",
+    [
+        Forest(Graph(0, [])),
+        Forest(Graph(1, [])),  # K1
+        Forest(Graph(2, [(0, 1)])),  # K2: the walk root is a centroid
+        # P4 walked from 0: the second centroid, 2, is the first's walk child
+        Forest(Graph(4, [(0, 1), (1, 2), (2, 3)])),
+        # P4 as 0-3-2-1: the second centroid, 3, is the first's walk parent
+        Forest(Graph(4, [(0, 3), (3, 2), (2, 1)])),
+        # both cases again as double stars, beside K2 and K1 (vertex 9)
+        Forest(Graph(15, [(0, 5), (5, 1), (5, 7), (1, 6), (1, 8),
+                          (2, 3), (3, 10), (10, 11), (10, 12), (3, 13), (4, 14)])),
+    ],
+)
+def test_forms_match_the_second_walk_on_hand_made_forests(forest):
+    assert canonical_forms(forest) == _forms_by_second_walk(forest)
+
+
+def _ingest_shaped_forest(seed: int, part: int = 25_000) -> Forest:
+    """A Pruefer tree, a path, a star and a caterpillar of ``part`` vertices
+    each, labels and edges shuffled."""
+    rng = random.Random(seed)
+    spine = part // 3
+    shapes = [
+        tree_from_prufer([rng.randrange(part) for _ in range(part - 2)]).edges(),
+        [(i, i + 1) for i in range(part - 1)],
+        [(0, i) for i in range(1, part)],
+        [(i, i + 1) for i in range(spine - 1)] + [(i % spine, i) for i in range(spine, part)],
+    ]
+    perm = list(range(4 * part))
+    rng.shuffle(perm)
+    edges = [(perm[u + k * part], perm[v + k * part]) for k, es in enumerate(shapes) for u, v in es]
+    rng.shuffle(edges)
+    return Forest(Graph(4 * part, edges))
+
+
+def test_forms_of_a_large_shuffled_forest_are_pinned():
+    # the digest the second-walk encoder gives this forest
+    forms = canonical_forms(_ingest_shaped_forest(1))
+    digest = hashlib.sha256(b"|".join(sorted(forms))).hexdigest()
+    assert digest == "fd4b2c128678e7ca1f80e4f7e2b0370ec3b92a4712f5e005802a4697f52315fd"
+
+
+def test_forms_read_the_walk_alone(monkeypatch):
+    # P5 8-3-0-5-1, P3 7-2-6 and the isolated vertex 4
+    f = Forest(Graph(9, [(8, 3), (3, 0), (0, 5), (5, 1), (7, 2), (2, 6)]))
+    expected = _forms_by_second_walk(f)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("canonical_forms walked the graph")
+
+    monkeypatch.setattr(prdom.graphs, "rooted_order", no_walk)
+    monkeypatch.setattr(prdom.canonical, "rooted_order", no_walk, raising=False)
+    assert canonical_forms(f) == expected
+    # nothing but the walk: no adjacency and no vertex count
+    assert canonical_forms(SimpleNamespace(walk=f.walk)) == expected

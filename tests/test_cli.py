@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -336,6 +337,40 @@ def test_verify_certificate_round_trip(tmp_path, monkeypatch, capsys):
     assert result["valid"] is True
     assert result["matches_input"] is True
     assert result["steps"] == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_puts_the_cyclic_collector_back_as_it_found_it(collecting, tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "cert.txt"
+    cert.write_text("P3\n1: 3 4 5\n")  # base center is never forced-zero
+    during = []
+
+    def broken(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_stable", broken)
+    runs = [
+        (["solve"], P3_EDGELIST, 0),
+        (["verify", "--certificate", str(cert)], "", 1),
+        (["solve"], "3\n0 x\n", 2),
+        (["solve"], "100000000000\n", 3),
+        (["stable"], P3_EDGELIST, 4),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, stdin_text, expected in runs:
+            (gc.enable if collecting else gc.disable)()
+            code, _, _ = run_cli(argv, stdin_text, monkeypatch, capsys)
+            assert (code, gc.isenabled()) == (expected, collecting), argv
+        for argv, expected in ((["--version"], 0), (["solve", "--no-such-option"], 2)):
+            (gc.enable if collecting else gc.disable)()
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv, "", monkeypatch, capsys)
+            assert (exc.value.code, gc.isenabled()) == (expected, collecting), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def test_verify_certificate_standalone(tmp_path, monkeypatch, capsys):
@@ -738,9 +773,9 @@ def test_pyproject_declares_no_runtime_dependency():
     assert project["dependencies"] == []
 
 
-def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
-    # the validating walk serves the DP, the witness and the centroids;
-    # only the digest's centroid-rooted walk is a second one
+def test_solve_witness_walks_the_input_once(tmp_path, monkeypatch, capsys):
+    # the validating walk serves the DP, the witness and the digest, which
+    # re-roots it at the centroids
     calls = []
     walk = prdom.graphs.rooted_order
 
@@ -759,7 +794,7 @@ def test_solve_witness_walks_the_input_twice(tmp_path, monkeypatch, capsys):
     path.write_text("9\n0 1\n1 2\n3 4\n4 5\n4 6\n7 8\n")
     code, _, _ = run_cli(["solve", "--input", str(path), "--witness"], "", monkeypatch, capsys)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 _FUZZ_TEXT = st.text(alphabet="0123456789 \n-:Px~?@AB_\t", max_size=40).map(str.encode)

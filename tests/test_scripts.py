@@ -25,17 +25,26 @@ def test_run_child_kills_and_reaps_its_child_when_interrupted(monkeypatch):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def _check_two_sides_that_agree(record_name):
+def _check_two_sides_that_agree(record_name, by_input=False):
     """A bench record holds a parent and a change side, each with every
-    command of its workload, and each command's report digest agrees."""
+    command of its workload, and each command's report digest agrees. A
+    record ``by_input`` nests its commands under each of its inputs."""
     record = json.loads((ROOT / record_name).read_text())
     assert {"date", "machine", "python", "pythondontwritebytecode", "workload"} <= record.keys()
     workload = record["workload"]
     sides = record["results"]
     assert set(sides) == {"parent", "change"}
-    assert set(sides["parent"]) == set(sides["change"]) == {
-        command.removeprefix("prdom ") for command in workload["commands"]
+    commands = {
+        command.removeprefix("prdom ").removesuffix(" --input FILE")
+        for command in workload["commands"]
     }
+    if by_input:
+        sides = {
+            label: {(name, command): entry for name, runs in side.items() for command, entry in runs.items()}
+            for label, side in sides.items()
+        }
+        commands = {(name, command) for name in workload["inputs"] for command in commands}
+    assert set(sides["parent"]) == set(sides["change"]) == commands
     for command, parent in sides["parent"].items():
         change = sides["change"][command]
         for entry in (parent, change):
@@ -51,3 +60,7 @@ def test_startup_record_compares_two_sides_that_agree():
 
 def test_verify_record_compares_two_sides_that_agree():
     _check_two_sides_that_agree("BENCH_verify.json")
+
+
+def test_solve_record_compares_two_sides_that_agree():
+    _check_two_sides_that_agree("BENCH_solve.json", by_input=True)
