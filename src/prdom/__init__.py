@@ -45,7 +45,6 @@ _EXPORTS = {
         "delete_vertices",
         "diameter",
         "emit_edge_list",
-        "leaves_of",
         "longest_path",
         "make_double_star",
         "make_path",

@@ -26,7 +26,8 @@ is T' - x4 beside a separate P3, whose number is 2. With the paper's
 theorem (stable exactly when a member) and the invariance lemma this makes
 the greedy peel complete, and it lets ``replay_certificate`` check
 stability once, on the finished tree: once a prefix tree is unstable, every
-later one is too.
+later one is too. That check is ``solver._deletion_stable``, the sweeps'
+yes-or-no test, which stops at the first deletion that changes the number.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
 from .graphs import EDGE_LIST_MAX_N, Graph, InvalidStepError, Tree, _number_reader, make_path
-from .solver import SizeLimitError, forced_zero_set, prd_number
-from .stability import attach_pendant_path, stability_report
+from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
+from .stability import attach_pendant_path
 
 FAMILY_MAX_N = 18
 # parse_certificate refuses more steps than this before it builds any Step:
@@ -100,9 +101,10 @@ def replay_certificate(c: Certificate) -> Tree:
 
     Each step must attach at a forced-zero vertex with the expected fresh
     labels; the forced-zero set is carried, not recomputed. The finished
-    tree is then checked to be deletion-stable, once: by the deletion lemma
-    every intermediate tree is stable when the last one is, and only when
-    it is not are the prefix trees searched for the first failing step.
+    tree is then checked to be deletion-stable, once, by
+    ``_deletion_stable``: by the deletion lemma every intermediate tree is
+    stable when the last one is, and only when it is not does a bisection
+    over the prefix trees, with the same check, find the first failing step.
     """
     edges = [(0, 1), (1, 2)]
     forced = {0, 2}
@@ -119,12 +121,12 @@ def replay_certificate(c: Certificate) -> Tree:
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
     tree = Tree(Graph._from_edges(c.order, edges))
-    if not stability_report(tree).stable:
+    if not _deletion_stable(*tree.walk):
 
         def unstable(i: int) -> bool:
             # the tree after step i: 6 + 3i vertices, the first 5 + 3i edges
             prefix = Tree(Graph._from_edges(6 + 3 * i, edges[: 5 + 3 * i]))
-            return not stability_report(prefix).stable
+            return not _deletion_stable(*prefix.walk)
 
         first = bisect.bisect_left(range(len(c.steps)), True, key=unstable)
         raise InvalidStepError(f"step {first}: intermediate tree is not stable")

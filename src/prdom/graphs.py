@@ -357,14 +357,6 @@ def make_spider(legs: Sequence[int]) -> Tree:
     return Tree(Graph(nxt, edges))
 
 
-def leaves_of(t: Tree, v: int) -> frozenset[int]:
-    """The leaf neighbors of v (neighbors of degree 1)."""
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-    adj = t.adjacency
-    return frozenset(u for u in adj[v] if len(adj[u]) == 1)
-
-
 def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
     """Distances from ``start`` within its component; every other component
     counts from its smallest vertex."""

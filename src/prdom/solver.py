@@ -29,8 +29,12 @@ a ``Graph`` that carries its walk, and a ``Tree`` is a one-component
 ``Forest``), so the solvers do not walk the graph again. The number is
 the sum, over the component roots, of the best root state. A witness is
 read back top-down along the same walk: each vertex's state follows from
-its parent's state and its own four costs, with state A's D-child found
-in one pass beforehand. The
+its parent's state and its own four costs.
+
+State A's D-child is always picked by one rule: the first child in walk
+order whose swap to D, D - min(A, C), equals the parent's A - B, the
+cheapest swap. The walk is a BFS over sorted adjacency, so siblings come
+in ascending label order and ties go to the lower child label. The
 exponential route, ``brute_force``, is a Gray-code scan over all 2^n
 placements of the 2s with the forced minimal completion, and a literal
 scan of all 3^n labelings (``_brute_ternary``) stays as its reference;
@@ -86,9 +90,10 @@ def is_valid_prdf(g: Graph, values: Sequence[int]) -> bool:
 
 class StateTable(NamedTuple):
     """Per-vertex costs of the four root-directed states, over a forest,
-    rooted as the walk ``_tables`` was given. Costs at or above INFEASIBLE
-    mean the state cannot be completed (a leaf cannot be satisfied from
-    below, so its A entry is always INFEASIBLE).
+    rooted as the walk ``_tables`` was given, or, once ``_reroot`` has
+    rewritten it, with each vertex as the root of its own component.
+    Costs at or above INFEASIBLE mean the state cannot be completed (a leaf
+    cannot be satisfied from below, so its A entry is always INFEASIBLE).
     """
 
     a: list[int]
@@ -133,24 +138,6 @@ def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
     return StateTable(a, b, c, d)
 
 
-class _RootCosts(NamedTuple):
-    """Whole-tree costs with each vertex in turn as the root.
-
-    ``a``, ``c``, ``d`` hold the root states A, C, D of every vertex, so the
-    domination number of a tree is min(a[v], c[v], d[v]) at any v.
-    ``deleted[v]`` is the domination number of T - v.
-    """
-
-    a: list[int]
-    c: list[int]
-    d: list[int]
-    deleted: list[int]
-
-    @property
-    def number(self) -> int:
-        return min(self.a[0], self.c[0], self.d[0])
-
-
 def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> Iterator[int]:
     """Turn a walk's down table into the table rooted at every vertex. O(n).
 
@@ -168,7 +155,8 @@ def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> I
     a, b, c, d = table
     n = len(order)
     # per vertex: the second-cheapest swap over its children, and the child
-    # with the cheapest; the cheapest itself is A - B
+    # with the cheapest, picked by the module docstring's D-child rule; the
+    # cheapest itself is A - B
     second = [INFEASIBLE] * n
     holder = [-1] * n
     for u, p in enumerate(parent):
@@ -205,18 +193,19 @@ def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> I
         yield v
 
 
-def _all_roots(x: Forest) -> _RootCosts:
+def _all_roots(x: Forest) -> StateTable:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
-    The down tables along the forest's walk, turned by one drained
-    ``_reroot`` pass into every vertex's whole-component costs. On a forest
-    every cost is that of the vertex's own component.
+    The down table along the forest's walk, rewritten in place by one
+    drained ``_reroot`` pass: each vertex's A, C and D are then the costs
+    of its own component rooted there, so the component's number is their
+    minimum and C - 1 is the number of that component less the vertex.
     """
     order, parent = x.walk
     table = _tables(order, parent)
     for _ in _reroot(order, parent, table):
         pass
-    return _RootCosts(a=table.a, c=table.c, d=table.d, deleted=[cv - 1 for cv in table.c])
+    return table
 
 
 def _deletion_stable(order: Sequence[int], parent: Sequence[int]) -> bool:
@@ -250,32 +239,24 @@ def optimal_assignment(x: Forest) -> Assignment:
     """One minimum-weight PRDF of a tree or forest, from one DP table. O(n).
 
     The labels of each component are an optimum of that component alone.
-    Two flat passes read the table back. The first, over all vertices,
-    records the D-child each vertex takes in state A: the child with the
-    cheapest swap to D. The second runs top-down along the walk and picks
-    each vertex's state from its parent's state, a root's as if its parent
-    were in state C. Deterministic: each component is rooted at its
-    smallest vertex, and ties break toward the earlier state letter, then
-    the lower child label.
+    One pass top-down along the walk reads the table back: each vertex's
+    state follows from its parent's state, a root's as if its parent were
+    in state C, and under a parent in state A the D-child is the one the
+    module docstring's rule picks. Deterministic: each component is rooted
+    at its smallest vertex, and ties break toward the earlier state letter,
+    then the lower child label.
     """
     order, parent = x.walk
     a, b, c, d = _tables(order, parent)
     n = len(parent)
-    swap = [INFEASIBLE] * n
-    d_child = [-1] * n
-    for u, p in enumerate(parent):
-        if p >= 0:
-            au, cu = a[u], c[u]
-            delta = d[u] - (au if au < cu else cu)
-            if delta < swap[p]:
-                swap[p] = delta
-                d_child[p] = u
     state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D
+    placed = bytearray(n)  # 1 once a vertex in state A has its D-child
     for v in order:
         p = parent[v]
         above = state[p] if p >= 0 else 2
         av, cv = a[v], c[v]
-        if above == 0 and d_child[p] == v:
+        if above == 0 and not placed[p] and d[v] - (av if av < cv else cv) == a[p] - b[p]:
+            placed[p] = 1
             state[v] = 3
         elif above <= 1:
             state[v] = 0 if av <= cv else 2

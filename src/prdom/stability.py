@@ -31,10 +31,17 @@ class StabilityReport(NamedTuple):
 
 
 def stability_report(t: Tree) -> StabilityReport:
-    """Numbers of T and of every T - v, from one rerooting pass. O(n)."""
-    costs = _all_roots(t)
-    base = costs.number
-    return StabilityReport(base=base, deltas=tuple(x - base for x in costs.deleted))
+    """Numbers of T and of every T - v, from one rerooting pass. O(n).
+
+    With v as the root, number(T) = min(A, C, D) and number(T - v) =
+    C(v) - 1 (see ``solver._reroot``). Every delta is reported, for
+    ``prdom stable`` and any caller that wants them; a yes-or-no answer
+    is cheaper from ``solver._deletion_stable``, which stops at the first
+    deletion that changes the number.
+    """
+    a, _, c, d = _all_roots(t)
+    base = min(a[0], c[0], d[0])
+    return StabilityReport(base=base, deltas=tuple(cv - 1 - base for cv in c))
 
 
 def attach_pendant_path(t: Tree, u: int, length: int) -> Tree:

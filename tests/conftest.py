@@ -1,3 +1,4 @@
+import random
 import sys
 
 from hypothesis import strategies as st
@@ -35,6 +36,24 @@ def shuffled_member(steps, rng):
     perm = list(range(t.n))
     rng.shuffle(perm)
     return Tree(Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
+
+
+def ingest_shaped_forest(seed: int, part: int = 25_000) -> Forest:
+    """A Pruefer tree, a path, a star and a caterpillar of ``part`` vertices
+    each, labels and edges shuffled."""
+    rng = random.Random(seed)
+    spine = part // 3
+    shapes = [
+        tree_from_prufer([rng.randrange(part) for _ in range(part - 2)]).edges(),
+        [(i, i + 1) for i in range(part - 1)],
+        [(0, i) for i in range(1, part)],
+        [(i, i + 1) for i in range(spine - 1)] + [(i % spine, i) for i in range(spine, part)],
+    ]
+    perm = list(range(4 * part))
+    rng.shuffle(perm)
+    edges = [(perm[u + k * part], perm[v + k * part]) for k, es in enumerate(shapes) for u, v in es]
+    rng.shuffle(edges)
+    return Forest(Graph(4 * part, edges))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import prdom.canonical
 import prdom.graphs
-from conftest import labeled_forests, labeled_trees
+from conftest import ingest_shaped_forest, labeled_forests, labeled_trees
 from prdom import (
     Forest,
     Graph,
@@ -24,7 +24,6 @@ from prdom import (
     make_star,
     make_spider,
     remove_vertex,
-    tree_from_prufer,
 )
 from prdom.canonical import _centroids
 from prdom.graphs import rooted_order
@@ -215,27 +214,9 @@ def test_forms_match_the_second_walk_on_hand_made_forests(forest):
     assert canonical_forms(forest) == _forms_by_second_walk(forest)
 
 
-def _ingest_shaped_forest(seed: int, part: int = 25_000) -> Forest:
-    """A Pruefer tree, a path, a star and a caterpillar of ``part`` vertices
-    each, labels and edges shuffled."""
-    rng = random.Random(seed)
-    spine = part // 3
-    shapes = [
-        tree_from_prufer([rng.randrange(part) for _ in range(part - 2)]).edges(),
-        [(i, i + 1) for i in range(part - 1)],
-        [(0, i) for i in range(1, part)],
-        [(i, i + 1) for i in range(spine - 1)] + [(i % spine, i) for i in range(spine, part)],
-    ]
-    perm = list(range(4 * part))
-    rng.shuffle(perm)
-    edges = [(perm[u + k * part], perm[v + k * part]) for k, es in enumerate(shapes) for u, v in es]
-    rng.shuffle(edges)
-    return Forest(Graph(4 * part, edges))
-
-
 def test_forms_of_a_large_shuffled_forest_are_pinned():
     # the digest the second-walk encoder gives this forest
-    forms = canonical_forms(_ingest_shaped_forest(1))
+    forms = canonical_forms(ingest_shaped_forest(1))
     digest = hashlib.sha256(b"|".join(sorted(forms))).hexdigest()
     assert digest == "fd4b2c128678e7ca1f80e4f7e2b0370ec3b92a4712f5e005802a4697f52315fd"
 

@@ -39,7 +39,6 @@ from prdom import (
     stability_report,
 )
 from prdom.family import random_certificate
-from prdom.stability import StabilityReport
 
 
 def test_grow_p3_at_leaf_gives_p6():
@@ -177,7 +176,7 @@ def _replay_per_step(c):
             raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
-        if not family.stability_report(Tree(Graph(n + 3, edges))).stable:
+        if not family._deletion_stable(*Tree(Graph(n + 3, edges)).walk):
             raise InvalidStepError(f"step {i}: intermediate tree is not stable")
     return Tree(Graph(c.order, edges))
 
@@ -186,11 +185,11 @@ def test_replay_checks_stability_once(monkeypatch):
     cert = random_certificate(300, random.Random(11))
     calls = []
 
-    def counting(t):
-        calls.append(t.n)
-        return stability_report(t)
+    def counting(order, parent):
+        calls.append(len(order))
+        return solver._deletion_stable(order, parent)
 
-    monkeypatch.setattr(family, "stability_report", counting)
+    monkeypatch.setattr(family, "_deletion_stable", counting)
     t = replay_certificate(cert)
     assert calls == [903]
     assert t == _replay_per_step(cert)
@@ -201,9 +200,7 @@ def test_replay_checks_stability_once(monkeypatch):
 def test_replay_names_the_first_unstable_step(k, monkeypatch):
     # every tree of order 3 + 3k or more reads as unstable: the tree after
     # step k - 1 is the first
-    monkeypatch.setattr(
-        family, "stability_report", lambda t: StabilityReport(0, (int(t.n >= 3 + 3 * k),))
-    )
+    monkeypatch.setattr(family, "_deletion_stable", lambda order, parent: len(order) < 3 + 3 * k)
     cert = random_certificate(300, random.Random(k))
     if k > 300:
         assert replay_certificate(cert) == _replay_per_step(cert)

@@ -16,7 +16,6 @@ from prdom import (
     emit_edge_list,
     enumerate_free_trees,
     forced_zero_set,
-    leaves_of,
     longest_path,
     make_double_star,
     make_path,
@@ -178,15 +177,6 @@ def test_constructors():
         make_double_star(0, 1)
     with pytest.raises(ValueError):
         make_spider([0])
-
-
-def test_leaves_of():
-    ds = make_double_star(2, 2)
-    assert leaves_of(ds, 0) == {2, 3}
-    assert leaves_of(make_path(4), 1) == {0}
-    assert leaves_of(make_star(3), 0) == {1, 2, 3}
-    with pytest.raises(ValueError):
-        leaves_of(ds, 6)
 
 
 def test_longest_path_and_diameter():
