@@ -7,10 +7,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_run_child_kills_and_reaps_its_child_when_interrupted(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import bench_solve
+    import bench
 
+    return bench
+
+
+def test_run_child_kills_and_reaps_its_child_when_interrupted(bench, monkeypatch, tmp_path):
     pids = []
 
     def interrupted(pid, options):
@@ -19,31 +24,49 @@ def test_run_child_kills_and_reaps_its_child_when_interrupted(monkeypatch):
 
     monkeypatch.setattr(os, "wait4", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        bench_solve.run_child(ROOT / "src", ["verify", "--max-n", "12"])
+        bench.run_child(ROOT / "src", ["verify", "--max-n", "12"], tmp_path)
     # reaped: the pid is no longer a child of this process, running or not
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def _check_two_sides_that_agree(record_name, by_input=False):
+def test_report_digests_do_not_depend_on_the_input_directory(bench, tmp_path):
+    """The certificate report names its file; run in the input directory it
+    names it by a relative name, so the digest recurs from run to run."""
+    digests = []
+    for work in (tmp_path / "a", tmp_path / "b"):
+        work.mkdir()
+        commands, _, _ = bench.write_inputs("recognize", work)
+        digests.append(bench.run_child(ROOT / "src", commands["verify --certificate cert1000"], work)[2])
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("text", ["", "[]", '"results"', "{}"])
+def test_an_out_file_that_is_no_record_is_refused(bench, tmp_path, capsys, text):
+    out = tmp_path / "BENCH_verify.json"
+    out.write_text(text)
+    assert bench.main(["verify", "--out", str(out)]) == 2
+    assert out.read_text() == text
+    err = capsys.readouterr().err
+    assert err.startswith("bench: ") and err.count("\n") == 1
+
+
+def test_the_records_at_the_root_are_the_bench_records(bench):
+    names = {path.name.removeprefix("BENCH_").removesuffix(".json") for path in ROOT.glob("BENCH_*.json")}
+    assert names == set(bench.RECORDS)
+
+
+@pytest.mark.parametrize("name", ["solve", "recognize", "startup", "verify"])
+def test_record_compares_two_sides_that_agree(name):
     """A bench record holds a parent and a change side, each with every
-    command of its workload, and each command's report digest agrees. A
-    record ``by_input`` nests its commands under each of its inputs."""
-    record = json.loads((ROOT / record_name).read_text())
+    command of its workload, and each command's report digest agrees."""
+    record = json.loads((ROOT / f"BENCH_{name}.json").read_text())
     assert {"date", "machine", "python", "pythondontwritebytecode", "workload"} <= record.keys()
     workload = record["workload"]
+    assert {"seed", "inputs", "input_sha256", "commands", "repeat"} <= workload.keys()
     sides = record["results"]
     assert set(sides) == {"parent", "change"}
-    commands = {
-        command.removeprefix("prdom ").removesuffix(" --input FILE")
-        for command in workload["commands"]
-    }
-    if by_input:
-        sides = {
-            label: {(name, command): entry for name, runs in side.items() for command, entry in runs.items()}
-            for label, side in sides.items()
-        }
-        commands = {(name, command) for name in workload["inputs"] for command in commands}
+    commands = {command.removeprefix("prdom ") for command in workload["commands"]}
     assert set(sides["parent"]) == set(sides["change"]) == commands
     for command, parent in sides["parent"].items():
         change = sides["change"][command]
@@ -52,15 +75,3 @@ def _check_two_sides_that_agree(record_name, by_input=False):
             assert min(entry["wall_s_runs"]) <= entry["wall_s"] <= max(entry["wall_s_runs"])
             assert len(entry["report_sha256"]) == 1
         assert parent["report_sha256"] == change["report_sha256"], command
-
-
-def test_startup_record_compares_two_sides_that_agree():
-    _check_two_sides_that_agree("BENCH_startup.json")
-
-
-def test_verify_record_compares_two_sides_that_agree():
-    _check_two_sides_that_agree("BENCH_verify.json")
-
-
-def test_solve_record_compares_two_sides_that_agree():
-    _check_two_sides_that_agree("BENCH_solve.json", by_input=True)
