@@ -56,14 +56,12 @@ _EXPORTS = {
     "solver": (
         "BRUTE_FORCE_MAX_N",
         "INFEASIBLE",
-        "Assignment",
         "StateTable",
         "brute_force",
         "forced_zero_set",
         "is_valid_prdf",
         "optimal_assignment",
         "prd_number",
-        "prd_number_forced",
     ),
     "stability": (
         "OPTIMA_SCAN_MAX_N",

@@ -119,9 +119,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     forest = _parse_input(args, Forest)
     # a witness's weight is the number, so it needs no second DP table
     witness = optimal_assignment(forest) if args.witness else None
-    result: dict = {"number": prd_number(forest) if witness is None else witness.weight}
+    result: dict = {"number": prd_number(forest) if witness is None else sum(witness)}
     if witness is not None:
-        result["witness"] = list(witness.values)
+        result["witness"] = list(witness)
     if args.wset:
         result["forced_zero"] = sorted(forced_zero_set(forest))
     _report(
@@ -155,13 +155,16 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     from .family import recognize, serialize_certificate
 
+    if args.emit_certificate == "":
+        raise _UsageError("--emit-certificate needs a nonempty file path")
     started = time.perf_counter()
     tree = _parse_input(args, Tree)
     outcome = recognize(tree)
     result = {
         "accepted": outcome.accepted,
         "order": tree.n,
-        "steps": len(outcome.certificate.steps) if outcome.certificate else None,
+        # P3's certificate is the empty tuple
+        "steps": len(outcome.certificate) if outcome.accepted else None,
         "reason": outcome.reason,
     }
     if args.emit_certificate:
@@ -216,8 +219,11 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
     from .canonical import canonical_form
     from .family import parse_certificate, replay_certificate
 
+    if args.certificate == "":
+        raise _UsageError("--certificate needs a nonempty file path")
     started = time.perf_counter()
     text = _read_text(args.certificate)
+    options = {"certificate": True, "format": args.format}
     result: dict = {"certificate_path": args.certificate}
     matches = None
     try:
@@ -225,19 +231,19 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
         rebuilt = replay_certificate(cert)
     except InvalidStepError as exc:
         result.update({"valid": False, "error": str(exc)})
-        _report(args, "verify", {"certificate": True}, None, result, started)
+        _report(args, "verify", options, None, result, started)
         return EXIT_PROPERTY_FAILURE
-    result.update({"valid": True, "steps": len(cert.steps), "order": rebuilt.n})
+    result.update({"valid": True, "steps": len(cert), "order": rebuilt.n})
     if args.input:
         tree = _parse_input(args, Tree)
         matches = canonical_form(tree) == canonical_form(rebuilt)
         result["matches_input"] = matches
-    _report(args, "verify", {"certificate": True, "format": args.format}, None, result, started)
+    _report(args, "verify", options, None, result, started)
     return EXIT_OK if matches in (None, True) else EXIT_PROPERTY_FAILURE
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.certificate:
+    if args.certificate is not None:
         return _cmd_verify_certificate(args)
     if args.max_n < 3:
         raise _UsageError(f"--max-n must be at least 3, got {args.max_n}")

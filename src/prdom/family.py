@@ -7,7 +7,7 @@ greedily: any pendant 3-path x1-x2-x3 (x1 a leaf, x2 and x3 of degree 2)
 whose anchor x4 is forced-zero may be peeled next, and the input is a
 member exactly when such peels reduce it to the 3-vertex path. It peels the
 input in place, in input labels. An accepted tree comes with a replayable
-build certificate.
+build certificate: the tuple of ``Step``s that grows it from P3.
 
 Pendant-P3 invariance: hang v3-v2-v1 (labels n, n+1, n+2) off u in T' to
 get T; then FZ(T), the forced-zero set, restricted to T' is FZ(T'), and
@@ -67,14 +67,9 @@ class Step(NamedTuple):
     added: tuple[int, int, int]
 
 
-class Certificate(NamedTuple):
-    """Build recipe for a family member: steps applied in order to P3."""
-
-    steps: tuple[Step, ...]
-
-    @property
-    def order(self) -> int:
-        return 3 + 3 * len(self.steps)
+# a build recipe for a family member: steps applied in order to P3, so a
+# certificate of k steps builds 3 + 3k vertices
+Certificate = tuple[Step, ...]
 
 
 class RecognitionResult(NamedTuple):
@@ -108,7 +103,7 @@ def replay_certificate(c: Certificate) -> Tree:
     """
     edges = [(0, 1), (1, 2)]
     forced = {0, 2}
-    for i, step in enumerate(c.steps):
+    for i, step in enumerate(c):
         n = 3 + 3 * i
         if step.added != (n, n + 1, n + 2):
             raise InvalidStepError(
@@ -120,7 +115,7 @@ def replay_certificate(c: Certificate) -> Tree:
             raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
-    tree = Tree(Graph._from_edges(c.order, edges))
+    tree = Tree(Graph._from_edges(3 + 3 * len(c), edges))
     if not _deletion_stable(*tree.walk):
 
         def unstable(i: int) -> bool:
@@ -128,7 +123,7 @@ def replay_certificate(c: Certificate) -> Tree:
             prefix = Tree(Graph._from_edges(6 + 3 * i, edges[: 5 + 3 * i]))
             return not _deletion_stable(*prefix.walk)
 
-        first = bisect.bisect_left(range(len(c.steps)), True, key=unstable)
+        first = bisect.bisect_left(range(len(c)), True, key=unstable)
         raise InvalidStepError(f"step {first}: intermediate tree is not stable")
     return tree
 
@@ -140,13 +135,13 @@ def random_certificate(steps: int, rng: random.Random) -> Certificate:
     for n in range(3, 3 + 3 * steps, 3):
         walk.append(Step(u=rng.choice(forced), added=(n, n + 1, n + 2)))
         forced += (n, n + 2)
-    return Certificate(steps=tuple(walk))
+    return tuple(walk)
 
 
 def serialize_certificate(c: Certificate) -> str:
     """Text form: base line "P3", then one "u: v3 v2 v1" line per step."""
     lines = ["P3"]
-    for step in c.steps:
+    for step in c:
         v3, v2, v1 = step.added
         lines.append(f"{step.u}: {v3} {v2} {v1}")
     return "\n".join(lines) + "\n"
@@ -175,7 +170,7 @@ def parse_certificate(text: str) -> Certificate:
         except ValueError:
             raise InvalidStepError(f"step line {idx}: non-integer label in {line!r}") from None
         steps.append(Step(u=u, added=added))
-    return Certificate(steps=tuple(steps))
+    return tuple(steps)
 
 
 def recognize(t: Tree) -> RecognitionResult:
@@ -250,7 +245,7 @@ def recognize(t: Tree) -> RecognitionResult:
     for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):
         steps.append(Step(u=iso[x4], added=(size, size + 1, size + 2)))
         iso.update({x3: size, x2: size + 1, x1: size + 2})
-    return RecognitionResult(True, Certificate(steps=tuple(steps)), None)
+    return RecognitionResult(True, tuple(steps), None)
 
 
 def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
@@ -268,7 +263,7 @@ def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
         raise SizeLimitError(f"family enumeration capped at n={FAMILY_MAX_N}, got {n}")
     base = make_path(3)
     level: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {
-        canonical_form(base): (base, Certificate(steps=()), [0, 2])
+        canonical_form(base): (base, (), [0, 2])
     }
     for size in range(3, n, 3):
         nxt: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {}
@@ -280,7 +275,7 @@ def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
                 if grown_key not in nxt:
                     step = Step(u=u, added=(size, size + 1, size + 2))
                     grown_forced = forced + [size, size + 2]
-                    nxt[grown_key] = (grown, Certificate(cert.steps + (step,)), grown_forced)
+                    nxt[grown_key] = (grown, cert + (step,), grown_forced)
         level = nxt
     return {k: level[k][1] for k in sorted(level)}
 

@@ -2,7 +2,9 @@
 
 A perfect Roman dominating function (PRDF) labels every vertex 0, 1, or 2
 so that each 0-vertex has exactly one neighbor labeled 2; the domination
-number is the minimum possible label sum. The linear-time route is a rooted
+number is the minimum possible label sum. A labeling is a plain tuple of
+labels indexed by vertex: its weight is its ``sum``, and ``is_valid_prdf``
+is the one check of the definition. The linear-time route is a rooted
 dynamic program with four states per vertex:
 
   A  label 0, already satisfied by exactly one child labeled 2
@@ -49,10 +51,10 @@ as "every".
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
-from .graphs import Forest, Graph, SizeLimitError, Tree
+from .graphs import Forest, Graph, SizeLimitError
 
 INFEASIBLE = 1 << 60
 BRUTE_FORCE_MAX_N = 16
@@ -60,32 +62,20 @@ BRUTE_FORCE_MAX_N = 16
 _Adjacency = Sequence[Sequence[int]]
 
 
-class Assignment(NamedTuple):
-    """Vertex labels in {0, 1, 2}, candidate perfect Roman dominating function."""
-
-    values: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.values)
-
-    def is_valid_on(self, g: Graph) -> bool:
-        adj = g.adjacency
-        if len(self.values) != len(adj):
-            return False
-        for v, val in enumerate(self.values):
-            if val == 0:
-                twos = sum(1 for u in adj[v] if self.values[u] == 2)
-                if twos != 1:
-                    return False
-            elif val not in (1, 2):
-                return False
-        return True
-
-
 def is_valid_prdf(g: Graph, values: Sequence[int]) -> bool:
-    """Definitional check: every 0-vertex has exactly one 2-neighbor."""
-    return Assignment(tuple(values)).is_valid_on(g)
+    """Whether ``values``, one label per vertex of ``g``, is a PRDF: every
+    label lies in {0, 1, 2} and every 0-vertex has exactly one neighbor
+    labeled 2."""
+    adj = g.adjacency
+    if len(values) != len(adj):
+        return False
+    for v, val in enumerate(values):
+        if val == 0:
+            if sum(1 for u in adj[v] if values[u] == 2) != 1:
+                return False
+        elif val not in (1, 2):
+            return False
+    return True
 
 
 class StateTable(NamedTuple):
@@ -235,8 +225,9 @@ def prd_number(x: Forest) -> int:
 _STATE_LABEL = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((0, 0, 1, 2)))
 
 
-def optimal_assignment(x: Forest) -> Assignment:
-    """One minimum-weight PRDF of a tree or forest, from one DP table. O(n).
+def optimal_assignment(x: Forest) -> tuple[int, ...]:
+    """One minimum-weight PRDF of a tree or forest, as its tuple of labels,
+    from one DP table. O(n).
 
     The labels of each component are an optimum of that component alone.
     One pass top-down along the walk reads the table back: each vertex's
@@ -269,29 +260,7 @@ def optimal_assignment(x: Forest) -> Assignment:
                 state[v] = 2
             else:
                 state[v] = 3
-    return Assignment(tuple(state.translate(_STATE_LABEL)))
-
-
-def prd_number_forced(t: Tree, v: int, allowed: Iterable[int]) -> int | float:
-    """Minimum PRDF weight subject to the label of ``v`` lying in ``allowed``.
-
-    With ``v`` as the root the constraint is a root-state restriction
-    (0 -> A, 1 -> C, 2 -> D), so this reads ``v``'s root costs from the
-    rerooting pass. Returns ``math.inf`` when no PRDF complies, which
-    happens only for label 0 on an isolated vertex.
-    """
-    wanted = frozenset(allowed)
-    if not wanted:
-        raise ValueError("allowed label set must be nonempty")
-    if not wanted <= {0, 1, 2}:
-        raise ValueError(f"labels must lie in {{0, 1, 2}}, got {sorted(wanted)}")
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
-    costs = _all_roots(t)
-    best = min(
-        cost[v] for label, cost in enumerate((costs.a, costs.c, costs.d)) if label in wanted
-    )
-    return best if best < INFEASIBLE else float("inf")
+    return tuple(state.translate(_STATE_LABEL))
 
 
 def forced_zero_set(x: Forest) -> frozenset[int]:
@@ -399,14 +368,14 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
 
 def brute_force(
     g: Graph, enumerate_all: bool = False
-) -> tuple[int, list[Assignment] | None]:
+) -> tuple[int, list[tuple[int, ...]] | None]:
     """Exhaustive minimum over every labeling of any graph, n <= 16.
 
     Scans the 2^n possible label-2 sets with the forced cheapest completion
     (``_brute_two_sets``); ``_brute_ternary``, which walks all 3^n labelings
     and keeps the valid ones, is the literal reference it must match. With
-    ``enumerate_all`` the full list of minimum-weight labelings comes back
-    sorted.
+    ``enumerate_all`` every minimum-weight labeling comes back, as a sorted
+    list of label tuples.
     """
     adj = g.adjacency
     n = len(adj)
@@ -415,4 +384,4 @@ def brute_force(
     best, found = _brute_two_sets(adj)
     if not enumerate_all:
         return best, None
-    return best, [Assignment(v) for v in sorted(found)]
+    return best, sorted(found)

@@ -129,26 +129,25 @@ def optima_report(t: Tree) -> OptimaReport:
     ones: set[int] = set()
     two_leaves: set[int] = set()
     for opt in optima:
-        for v, val in enumerate(opt.values):
+        for v, val in enumerate(opt):
             if val == 1:
                 ones.add(v)
         for v in leaves:
-            if opt.values[v] == 2:
+            if opt[v] == 2:
                 two_leaves.add(v)
     sites = tuple(branch_sites(t))
     violations = []
     for site in sites:
         for opt in optima:
-            vals = opt.values
             ok = (
-                vals[site.center] == 2
-                and vals[site.chain] == 0
-                and vals[site.anchor] == 0
-                and vals[site.leaves[0]] == 0
-                and vals[site.leaves[1]] == 0
+                opt[site.center] == 2
+                and opt[site.chain] == 0
+                and opt[site.anchor] == 0
+                and opt[site.leaves[0]] == 0
+                and opt[site.leaves[1]] == 0
             )
             if not ok:
-                violations.append((site, vals))
+                violations.append((site, opt))
                 break
     return OptimaReport(
         optima_count=len(optima),

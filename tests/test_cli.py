@@ -23,7 +23,6 @@ import prdom.graphs
 import prdom.sweeps
 from conftest import NOT_TREES, shuffled_member
 from prdom import (
-    Certificate,
     Step,
     Tree,
     canonical_form,
@@ -391,9 +390,53 @@ def test_verify_certificate_rejects_tampered(tmp_path, monkeypatch, capsys):
         ["verify", "--certificate", str(cert_path)], "", monkeypatch, capsys
     )
     assert code == 1
-    result = json.loads(out)["result"]
+    payload = json.loads(out)
+    # the options echo the flags, as on a valid certificate
+    assert payload["options"] == {"certificate": True, "format": "edgelist"}
+    result = payload["result"]
     assert result["valid"] is False
     assert "error" in result
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["verify", "--certificate", ""], "--certificate"),
+        (["verify", "--certificate", "", "--max-n", "-3"], "--certificate"),
+        (["recognize", "--emit-certificate", ""], "--emit-certificate"),
+    ],
+)
+def test_an_empty_certificate_path_is_a_usage_error(argv, flag, monkeypatch, capsys):
+    # refused before any work: stdin, a valid input for either command, is not read
+    stdin = io.StringIO(P3_EDGELIST)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"prdom: {flag} needs a nonempty file path\n")
+    assert stdin.tell() == 0
+
+
+def test_the_empty_certificate_builds_p3(tmp_path, monkeypatch, capsys):
+    # P3's certificate is the empty tuple, so nothing may read it as false
+    cert_path = tmp_path / "cert.txt"
+    code, out, _ = run_cli(
+        ["recognize", "--emit-certificate", str(cert_path)], P3_EDGELIST, monkeypatch, capsys
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["accepted"], result["steps"], result["order"]) == (True, 0, 3)
+    assert result["certificate_path"] == str(cert_path)
+    assert cert_path.read_text() == "P3\n"
+    code, out, _ = run_cli(["verify", "--certificate", str(cert_path)], "", monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "certificate_path": str(cert_path),
+        "valid": True,
+        "steps": 0,
+        "order": 3,
+    }
+    code, out, _ = run_cli(["generate", "--all", "3"], "", monkeypatch, capsys)
+    assert (code, out) == (0, "Bg\n")
 
 
 def test_verify_certificate_mismatched_input(tmp_path, monkeypatch, capsys):
@@ -428,7 +471,7 @@ def test_verify_property_failure_exit_code(monkeypatch, capsys):
 def test_generate_internal_breach_exit_code(monkeypatch, capsys):
     # a walk that attaches at the base path's centre, which is never forced-zero
     monkeypatch.setattr(
-        prdom.family, "random_certificate", lambda steps, rng: Certificate((Step(1, (3, 4, 5)),))
+        prdom.family, "random_certificate", lambda steps, rng: (Step(1, (3, 4, 5)),)
     )
     code, _, err = run_cli(
         ["generate", "--steps", "1"], "", monkeypatch, capsys

@@ -1,6 +1,8 @@
 import ast
 import inspect
 import os
+import random
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -12,8 +14,6 @@ import prdom
 import prdom.family
 import prdom.graphs
 from prdom import (
-    Assignment,
-    Certificate,
     OptimaReport,
     StabilityReport,
     make_path,
@@ -77,17 +77,16 @@ def test_an_export_loads_only_its_own_modules():
 
 def test_records_are_read_only_named_tuples():
     t = make_path(6)
-    records = [
-        optimal_assignment(t),
-        stability_report(t),
-        optima_report(t),
-        Certificate(steps=()),
-    ]
-    assert [type(r) for r in records] == [Assignment, StabilityReport, OptimaReport, Certificate]
+    records = [stability_report(t), optima_report(t)]
+    assert [type(r) for r in records] == [StabilityReport, OptimaReport]
     for record in records:
         assert isinstance(record, tuple)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
+    # an optimum is its labels and a certificate its steps: plain tuples
+    assert type(optimal_assignment(t)) is tuple
+    assert type(prdom.family.random_certificate(2, random.Random(0))) is tuple
+    assert prdom.Certificate == tuple[prdom.Step, ...]
 
 
 def test_the_cli_and_the_sweeps_leave_dataclasses_unloaded():
@@ -124,3 +123,25 @@ def test_every_traced_name_is_a_function_its_module_defines():
             obj = vars(obj).get("__init__" if m == "init" else m)
         assert inspect.isfunction(obj), name
         assert obj.__code__.co_filename == module.__file__, name
+
+
+def _readme_api_names():
+    """(module, name) for every backticked name in README's "| `prdom.X` |"
+    rows, with "make_path/star" read as make_path and make_star."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for module, cells in re.findall(r"^\| `prdom\.(\w+)` \|(.*)\|$", readme, re.M):
+        for token in re.findall(r"`([\w./]+)`", cells):
+            first, *rest = token.split("/")
+            prefix = first[: first.index("_") + 1] if rest else ""
+            for name in [first] + [prefix + part for part in rest]:
+                yield module, name
+
+
+def test_readme_api_table_names_only_what_exists():
+    names = list(_readme_api_names())
+    assert ("graphs", "make_double_star") in names and ("solver", "is_valid_prdf") in names
+    for module_name, name in names:
+        obj = import_module(f"prdom.{module_name}")
+        for attr in name.split("."):
+            assert hasattr(obj, attr), f"README names prdom.{module_name}.{name}"
+            obj = getattr(obj, attr)

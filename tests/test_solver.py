@@ -1,6 +1,5 @@
 import hashlib
 import inspect
-import itertools
 import math
 import random
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from conftest import ingest_shaped_forest, labeled_forests, labeled_trees, small_graphs
 from prdom import (
     INFEASIBLE,
-    Assignment,
     Forest,
     Graph,
     SizeLimitError,
@@ -27,7 +25,6 @@ from prdom import (
     make_star,
     optimal_assignment,
     prd_number,
-    prd_number_forced,
     remove_vertex,
     tree_from_prufer,
 )
@@ -59,21 +56,20 @@ def test_forest_numbers_add_over_components():
 
 
 def test_optimal_assignment_p3_unique_optimum():
-    a = optimal_assignment(make_path(3))
-    assert a.values == (0, 2, 0)
+    assert optimal_assignment(make_path(3)) == (0, 2, 0)
     _, all_optima = brute_force(make_path(3), enumerate_all=True)
-    assert [o.values for o in all_optima] == [(0, 2, 0)]
+    assert all_optima == [(0, 2, 0)]
 
 
 def test_optimal_assignment_k1():
-    assert optimal_assignment(make_path(1)).values == (1,)
+    assert optimal_assignment(make_path(1)) == (1,)
 
 
 def test_optimal_assignment_p6():
     t = make_path(6)
     a = optimal_assignment(t)
-    assert a.weight == 4
-    assert a.is_valid_on(t)
+    assert sum(a) == 4
+    assert is_valid_prdf(t, a)
 
 
 def test_brute_force_p4():
@@ -84,7 +80,7 @@ def test_brute_force_p4():
 def test_brute_force_k1_enumeration():
     w, optima = brute_force(make_path(1), enumerate_all=True)
     assert w == 1
-    assert [o.values for o in optima] == [(1,)]
+    assert optima == [(1,)]
 
 
 def test_brute_force_size_cap():
@@ -96,13 +92,13 @@ def test_brute_force_accepts_cyclic_graphs():
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     w, optima = brute_force(triangle, enumerate_all=True)
     assert w == 2
-    assert all(o.is_valid_on(triangle) for o in optima)
+    assert all(is_valid_prdf(triangle, o) for o in optima)
 
 
 def _brute_ternary_optima(g):
     """The literal 3^n scan's number and sorted optima, as brute_force gives them."""
     best, found = _brute_ternary(g.adjacency)
-    return best, [Assignment(v) for v in sorted(found)]
+    return best, sorted(found)
 
 
 def test_brute_force_methods_agree_exhaustively():
@@ -136,8 +132,8 @@ def test_dp_matches_brute_force_random(t):
 @settings(max_examples=150, deadline=None)
 def test_witness_is_valid_and_optimal(t):
     a = optimal_assignment(t)
-    assert a.is_valid_on(t)
-    assert a.weight == prd_number(t)
+    assert is_valid_prdf(t, a)
+    assert sum(a) == prd_number(t)
 
 
 @given(labeled_trees(max_n=25))
@@ -158,35 +154,28 @@ def test_path_formula_regression_medium():
         assert prd_number(make_path(n)) == math.ceil(2 * n / 3)
 
 
+def _root_costs(t, v):
+    """The A, C and D costs of ``t`` rooted at ``v``: the least weight with
+    ``v`` labeled 0, 1 and 2."""
+    costs = _all_roots(t)
+    return costs.a[v], costs.c[v], costs.d[v]
+
+
 def test_forced_values_on_p3():
-    p3 = make_path(3)
     # the unique optimum is (0, 2, 0): leaves are forced to 0
-    assert prd_number_forced(p3, 0, {1, 2}) == 3
-    assert prd_number_forced(p3, 2, {1, 2}) == 3
-    assert prd_number_forced(p3, 1, {1, 2}) == 2
-    assert prd_number_forced(p3, 0, {0}) == 2
-    assert prd_number_forced(p3, 1, {0}) == 3
+    p3 = make_path(3)
+    assert [_root_costs(p3, v) for v in range(3)] == [(2, 3, 3), (3, 3, 2), (2, 3, 3)]
 
 
 def test_forced_zero_on_isolated_vertex_is_infeasible():
-    assert prd_number_forced(make_path(1), 0, {0}) == math.inf
-
-
-def test_forced_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        prd_number_forced(make_path(3), 0, set())
-    with pytest.raises(ValueError):
-        prd_number_forced(make_path(3), 0, {3})
-    with pytest.raises(ValueError):
-        prd_number_forced(make_path(3), 9, {0})
+    assert _root_costs(make_path(1), 0) == (INFEASIBLE, 1, 2)
 
 
 @given(labeled_trees(max_n=14))
 @settings(max_examples=100, deadline=None)
 def test_forced_state_coherence(t):
-    for v in range(0, t.n, max(1, t.n // 4)):
-        parts = [prd_number_forced(t, v, {k}) for k in (0, 1, 2)]
-        assert min(parts) == prd_number(t)
+    for v in range(t.n):
+        assert min(_root_costs(t, v)) == prd_number(t)
 
 
 def test_forced_zero_set_examples():
@@ -199,14 +188,15 @@ def test_forced_zero_set_matches_full_enumeration():
         for t in enumerate_free_trees(n):
             _, optima = brute_force(t, enumerate_all=True)
             always_zero = frozenset(
-                v for v in range(t.n) if all(o.values[v] == 0 for o in optima)
+                v for v in range(t.n) if all(o[v] == 0 for o in optima)
             )
             assert forced_zero_set(t) == always_zero
 
 
 def _forced_by_a_table_rooted_at(t, v, allowed):
-    """prd_number_forced's route before it read the rerooting pass: one DP
-    table rooted at ``v``, then the allowed root states of ``v``."""
+    """The least weight with ``v``'s label in ``allowed``, the route before
+    the rerooting pass: one DP table rooted at ``v``, then the allowed root
+    states of ``v``."""
     table = _tables(*rooted_order(t.adjacency, (v,)))
     best = INFEASIBLE
     if 0 in allowed and table.a[v] < best:
@@ -218,25 +208,23 @@ def _forced_by_a_table_rooted_at(t, v, allowed):
     return best if best < INFEASIBLE else math.inf
 
 
-_LABEL_SETS = [frozenset(s) for k in (1, 2, 3) for s in itertools.combinations((0, 1, 2), k)]
-
-
-def _forced_matches_a_table_per_root(t):
+def _all_roots_match_a_table_per_root(t):
+    costs = _all_roots(t)
     for v in range(t.n):
-        for allowed in _LABEL_SETS:
-            assert prd_number_forced(t, v, allowed) == _forced_by_a_table_rooted_at(t, v, allowed)
+        table = _tables(*rooted_order(t.adjacency, (v,)))
+        assert (costs.a[v], costs.c[v], costs.d[v]) == (table.a[v], table.c[v], table.d[v])
 
 
 def test_forced_matches_a_table_per_root_on_all_small_trees():
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            _forced_matches_a_table_per_root(t)
+            _all_roots_match_a_table_per_root(t)
 
 
 @given(labeled_trees(max_n=40))
 @settings(max_examples=100, deadline=None)
 def test_forced_matches_a_table_per_root_random(t):
-    _forced_matches_a_table_per_root(t)
+    _all_roots_match_a_table_per_root(t)
 
 
 def _forced_zero_by_rerooting_each_vertex(t):
@@ -261,11 +249,8 @@ def test_forced_zero_set_matches_per_vertex_route_random(t):
 @given(labeled_trees(max_n=60))
 @settings(max_examples=100, deadline=None)
 def test_all_roots_matches_a_table_per_root(t):
-    costs = _all_roots(t)
-    assert min(costs.a[0], costs.c[0], costs.d[0]) == prd_number(t)
-    for v in range(t.n):
-        table = _tables(*rooted_order(t.adjacency, (v,)))
-        assert (costs.a[v], costs.c[v], costs.d[v]) == (table.a[v], table.c[v], table.d[v])
+    assert min(_root_costs(t, 0)) == prd_number(t)
+    _all_roots_match_a_table_per_root(t)
 
 
 def test_state_table_holds_only_costs_and_brute_force_one_route():
@@ -300,11 +285,12 @@ def test_state_table_bounds(t):
 
 def test_assignment_validity_checks():
     t = make_path(3)
-    assert Assignment((0, 2, 0)).is_valid_on(t)
-    assert not Assignment((0, 0, 2)).is_valid_on(t)   # vertex 0 unserved
-    assert not Assignment((2, 0, 2)).is_valid_on(t)   # vertex 1 doubly served
-    assert not Assignment((0, 2)).is_valid_on(t)      # wrong length
-    assert not Assignment((0, 3, 0)).is_valid_on(t)   # label out of range
+    assert is_valid_prdf(t, (0, 2, 0))
+    assert is_valid_prdf(t, [0, 2, 0])
+    assert not is_valid_prdf(t, (0, 0, 2))   # vertex 0 unserved
+    assert not is_valid_prdf(t, (2, 0, 2))   # vertex 1 doubly served
+    assert not is_valid_prdf(t, (0, 2))      # wrong length
+    assert not is_valid_prdf(t, (0, 3, 0))   # label out of range
 
 
 def test_prd_number_on_forest_object():
@@ -321,7 +307,7 @@ def test_brute_ternary_and_two_sets_raw_agree_on_empty():
 def _per_component_witness(f):
     values = [0] * f.n
     for tree, labels in f.component_trees():
-        for local, value in enumerate(optimal_assignment(tree).values):
+        for local, value in enumerate(optimal_assignment(tree)):
             values[labels[local]] = value
     return tuple(values)
 
@@ -335,9 +321,9 @@ def test_forest_solvers_match_the_per_component_route(f):
     if f.n <= 12:
         assert number == brute_force(f)[0]
     witness = optimal_assignment(f)
-    assert witness.values == _per_component_witness(f)
-    assert witness.is_valid_on(f)
-    assert witness.weight == number
+    assert witness == _per_component_witness(f)
+    assert is_valid_prdf(f, witness)
+    assert sum(witness) == number
     assert forced_zero_set(f) == {
         labels[v] for tree, labels in parts for v in forced_zero_set(tree)
     }
@@ -345,7 +331,7 @@ def test_forest_solvers_match_the_per_component_route(f):
 
 def test_witness_of_many_isolated_vertices_is_all_ones():
     f = Forest(Graph(20000, []))
-    assert optimal_assignment(f).values == (1,) * 20000
+    assert optimal_assignment(f) == (1,) * 20000
     assert forced_zero_set(f) == frozenset()
 
 
@@ -420,13 +406,13 @@ def _stack_witness(x):
 def test_witness_matches_the_stack_route_on_all_small_trees():
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            assert optimal_assignment(t).values == _stack_witness(t)
+            assert optimal_assignment(t) == _stack_witness(t)
 
 
 @given(labeled_forests())
 @settings(max_examples=200, deadline=None)
 def test_witness_matches_the_stack_route_on_forests(f):
-    assert optimal_assignment(f).values == _stack_witness(f)
+    assert optimal_assignment(f) == _stack_witness(f)
 
 
 def test_witness_matches_the_stack_route_on_a_tied_forest():
@@ -446,20 +432,20 @@ def test_witness_matches_the_stack_route_on_a_tied_forest():
     rng.shuffle(perm)
     f = Forest(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
     witness = optimal_assignment(f)
-    assert witness.values == _stack_witness(f)
-    assert witness.is_valid_on(f) and witness.weight == prd_number(f)
+    assert witness == _stack_witness(f)
+    assert is_valid_prdf(f, witness) and sum(witness) == prd_number(f)
 
 
 def test_witness_breaks_a_d_child_tie_toward_the_lower_label():
     # P5 labelled 2-1-0-3-4: both children of the root 0 swap to D at cost 0,
     # and the lower one, 1, takes the root's 2
     t = Tree(Graph(5, [(0, 1), (0, 3), (1, 2), (3, 4)]))
-    assert optimal_assignment(t).values == _stack_witness(t) == (0, 2, 0, 0, 2)
+    assert optimal_assignment(t) == _stack_witness(t) == (0, 2, 0, 0, 2)
 
 
 def test_witness_of_a_large_shuffled_forest_is_pinned():
     f = ingest_shaped_forest(1)
-    witness = optimal_assignment(f).values
+    witness = optimal_assignment(f)
     assert witness == _stack_witness(f)
     # pinned, so that a change to any tie rule shows even where both routes agree
     digest = hashlib.sha256(bytes(witness)).hexdigest()
@@ -475,8 +461,6 @@ def test_shared_walk_is_never_changed():
         canonical_forms(x)
         forced_zero_set(x)
         optimal_assignment(x)
-        if isinstance(x, Tree):
-            for v in range(x.n):
-                prd_number_forced(x, v, {0, 1, 2})
+        _all_roots(x)
         assert x.walk is walk
         assert walk == (tuple(order), tuple(parent))
