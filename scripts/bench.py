@@ -132,7 +132,7 @@ def solve_inputs(put: Put, rng: random.Random) -> dict[str, list[str]]:
     return {
         f"solve{flag} {stem}": ["solve", *flag.split(), "--input", file]
         for stem, file in files.items()
-        for flag in ("", " --witness")
+        for flag in ("", " --witness", " --wset")
     }
 
 

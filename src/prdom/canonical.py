@@ -5,11 +5,13 @@ component is rooted at its centroid; with two centroids the central edge is
 cut and both orientations of the pair encoding are tried, keeping the
 smaller. The rooted encoding is the balanced-parenthesis form, children in
 the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
-forest is encoded in place, from its ``walk`` alone: the walk finds the
-centroids, reversing the parent links from each walk root down to its
-centroid roots the component there, and each level is ranked over all
-components at once, bottom-up. Ranking a level pushes each vertex's code up
-to its parent, in ascending order, so the level above sorts by those lists
+forest is encoded in place, from its walk's parent array alone: the walk
+finds the centroids, reversing the parent links from each walk root down
+to its centroid roots the component there, and each level is ranked over
+all components at once, bottom-up. The walk is in BFS positions, so every
+pass runs over the positions in turn and no label is read: a form does not
+depend on them. Ranking a level pushes each vertex's code up to its
+parent, in ascending order, so the level above sorts by those lists
 without scanning the adjacency: O(n log n), without recursion or
 relabelling.
 """
@@ -23,13 +25,16 @@ from .graphs import Forest, Tree
 CanonicalForm = bytes
 
 
-def _centroids(order: Sequence[int], parent: Sequence[int]) -> list[list[int]]:
-    """Each component's one or two centroids, ascending, from a walk that
-    roots every component at its smallest vertex (``Forest.walk``);
-    components in order of their smallest vertex."""
-    size = [1] * len(order)
-    widest = [0] * len(order)  # largest child-subtree size
-    for v in reversed(order):
+def _centroids(parent: Sequence[int]) -> list[list[int]]:
+    """Each component's one or two centroids, as ascending walk positions,
+    from a walk's parent array in positions that roots every component at
+    its smallest vertex (``Forest.walk``); components in order of their
+    smallest vertex. Two centroids are adjacent, so the first is the
+    second's walk parent."""
+    n = len(parent)
+    size = [1] * n
+    widest = [0] * n  # largest child-subtree size
+    for v in range(n - 1, 0, -1):
         p = parent[v]
         if p >= 0:
             size[p] += size[v]
@@ -37,19 +42,20 @@ def _centroids(order: Sequence[int], parent: Sequence[int]) -> list[list[int]]:
                 widest[p] = size[v]
     # v is a centroid exactly when no component of T - v exceeds half of T
     out: list[list[int]] = []
-    for v in order:
-        if parent[v] < 0:
+    for v, p in enumerate(parent):
+        if p < 0:
             total = size[v]
             half = total // 2
             out.append([])
         if widest[v] <= half and total - size[v] <= half:
             out[-1].append(v)
-    return [sorted(cs) for cs in out]
+    return out
 
 
 def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component of T - v."""
-    return tuple(_centroids(*t.walk)[0])
+    order, parent = t.walk
+    return tuple(sorted(order[v] for v in _centroids(parent)[0]))
 
 
 def _parenthesize(table: list[list[int]], code: int) -> bytes:
@@ -80,44 +86,45 @@ def _parenthesize(table: list[list[int]], code: int) -> bytes:
 def canonical_forms(x: Forest) -> list[CanonicalForm]:
     """One relabeling-invariant form per component, in order of each
     component's smallest vertex: equal forms iff isomorphic components."""
-    order, walk_parent = x.walk
-    cents = _centroids(order, walk_parent)
+    walk_parent = x.walk[1]
+    n = len(walk_parent)
+    cents = _centroids(walk_parent)
     # Root each component at its centroid by reversing the walk's parent
-    # links from the walk root down to it. With two centroids, the one that
-    # is the other's walk child keeps its walk subtree and the central edge
-    # is cut: two rooted halves.
+    # links from the walk root down to it. With two centroids, the second
+    # is the first's walk child: it keeps its walk subtree and the central
+    # edge is cut, leaving two rooted halves.
     parent = list(walk_parent)
-    depth = [0] * len(order)
+    depth = [0] * n
     for cs in cents:
-        top = cs[0]
         if len(cs) == 2:
-            low = cs[1]
-            if walk_parent[low] != top:
-                top, low = low, top
-            parent[low] = -1
-        up, d, v = -1, 0, top
+            parent[cs[1]] = -1
+        up, d, v = -1, 0, cs[0]
         while v >= 0:
             parent[v] = up
             depth[v] = d
             up, v, d = v, walk_parent[v], d + 1
-    # In walk order, each vertex's new parent is its walk parent, seen
-    # before it, or a vertex on a reversed path, whose depth is set above.
+    # Position by position, each vertex's new parent is its walk parent,
+    # seen before it, or a vertex on a reversed path, whose depth is set
+    # above. A position is an int object of its own, which only its level
+    # holds, so the depths go once the levels are built, and each level
+    # once it is ranked.
     levels: list[list[int]] = []
-    for v in order:
-        p = parent[v]
+    for v, p in enumerate(parent):
         d = depth[v] = depth[p] + 1 if p >= 0 else 0
         while d >= len(levels):
             levels.append([])
         levels[d].append(v)
+    del depth
     # Isomorphic subtrees share a code c; table[c] lists its child codes in
     # ascending order, which alone rank a level, so one ranking serves every
     # tree. Sorted by those lists, a level hands out its codes in ascending
     # order, so each parent's list (kids) fills up already sorted.
     leaf: list[int] = []  # shared by every vertex that has no list yet
-    kids = [leaf] * len(order)
+    kids = [leaf] * n
     table: list[list[int]] = []
     root_code: dict[int, int] = {}
-    for level in reversed(levels):
+    while levels:
+        level = levels.pop()
         level.sort(key=kids.__getitem__)
         c = len(table) - 1
         prev: list[int] | None = None

@@ -36,14 +36,25 @@ EXIT_INTERNAL = 4
 # generate refuses, before any work, a member whose graph6 line is longer
 GENERATE_MAX_BYTES = 64 << 20
 
+# the options that name a file; an empty value is refused, not read as absent
+_PATH_OPTIONS = ("--certificate", "--emit-certificate", "--input", "--output")
+
+
 class _UsageError(ValueError):
     pass
 
 
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an empty file path before the command does any work."""
+    for flag in _PATH_OPTIONS:
+        if getattr(args, flag[2:].replace("-", "_"), None) == "":
+            raise _UsageError(f"{flag} needs a nonempty file path")
+
+
 def _read_text(path: str | None) -> str:
-    """The UTF-8 text of a file, or of stdin when ``path`` is empty."""
+    """The UTF-8 text of a file, or of stdin when ``path`` is None."""
     try:
-        if path:
+        if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
         if isinstance(sys.stdin, io.TextIOWrapper):
@@ -78,7 +89,7 @@ def _parse_input(args: argparse.Namespace, cls: type[Forest]) -> Forest:
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -155,8 +166,6 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     from .family import recognize, serialize_certificate
 
-    if args.emit_certificate == "":
-        raise _UsageError("--emit-certificate needs a nonempty file path")
     started = time.perf_counter()
     tree = _parse_input(args, Tree)
     outcome = recognize(tree)
@@ -167,7 +176,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         "steps": len(outcome.certificate) if outcome.accepted else None,
         "reason": outcome.reason,
     }
-    if args.emit_certificate:
+    if args.emit_certificate is not None:
         if outcome.accepted:
             with open(args.emit_certificate, "w", encoding="utf-8") as fh:
                 fh.write(serialize_certificate(outcome.certificate))
@@ -219,8 +228,6 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
     from .canonical import canonical_form
     from .family import parse_certificate, replay_certificate
 
-    if args.certificate == "":
-        raise _UsageError("--certificate needs a nonempty file path")
     started = time.perf_counter()
     text = _read_text(args.certificate)
     options = {"certificate": True, "format": args.format}
@@ -234,7 +241,7 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
         _report(args, "verify", options, None, result, started)
         return EXIT_PROPERTY_FAILURE
     result.update({"valid": True, "steps": len(cert), "order": rebuilt.n})
-    if args.input:
+    if args.input is not None:
         tree = _parse_input(args, Tree)
         matches = canonical_form(tree) == canonical_form(rebuilt)
         result["matches_input"] = matches
@@ -358,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        _check_paths(args)
         return args.func(args)
     except ParseError as exc:
         print(f"prdom: parse error: {exc}", file=sys.stderr)

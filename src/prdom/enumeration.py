@@ -86,8 +86,9 @@ def _free_tree_parents(n: int) -> Iterator[list[int]]:
     level sequence) order. When a sequence fails the test, the walk jumps
     straight to the next one that passes, so every class is produced
     exactly once and in constant amortized time. A level sequence lists its
-    tree in preorder, so every parent precedes its children and
-    ``(range(n), parent)`` is a walk of the tree; the root is vertex 0.
+    tree in preorder, so every parent precedes its children and the array
+    is a walk's parent array in positions, with vertex i at position i;
+    the root is vertex 0.
     """
     if n <= 2:
         yield list(range(-1, n - 1))

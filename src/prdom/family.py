@@ -116,12 +116,12 @@ def replay_certificate(c: Certificate) -> Tree:
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
     tree = Tree(Graph._from_edges(3 + 3 * len(c), edges))
-    if not _deletion_stable(*tree.walk):
+    if not _deletion_stable(tree.walk[1]):
 
         def unstable(i: int) -> bool:
             # the tree after step i: 6 + 3i vertices, the first 5 + 3i edges
             prefix = Tree(Graph._from_edges(6 + 3 * i, edges[: 5 + 3 * i]))
-            return not _deletion_stable(*prefix.walk)
+            return not _deletion_stable(prefix.walk[1])
 
         first = bisect.bisect_left(range(len(c)), True, key=unstable)
         raise InvalidStepError(f"step {first}: intermediate tree is not stable")

@@ -8,9 +8,13 @@ A ``Graph`` is plain immutable data: its order and adjacency. A ``Forest``
 is a ``Graph`` that carries its walk: built from a graph, it shares that
 graph's adjacency, walks it once while it validates, and keeps the walk as
 ``Forest.walk``: the ``rooted_order`` of the adjacency with every component
-rooted at its smallest vertex, as two tuples. The DP tables, the witness,
-the rerooting pass and the canonical digest, which finds the centroids on
-it and re-roots it there, read it instead of walking the graph again.
+rooted at its smallest vertex, as two tuples. A walk is kept in BFS
+positions: ``order[i]`` is the label at position i and ``parent[i]`` the
+position of its parent. The DP tables, the witness, the rerooting pass and
+the canonical digest, which finds the centroids on it and re-roots it
+there, read it instead of walking the graph again; each loops over the
+positions in turn and so reads its arrays in order, and only its results
+go back to labels, through ``order``.
 A ``Tree`` is a ``Forest`` with one component. Equality and hashing are by
 content, so a ``Tree`` equals the ``Graph`` it was built from.
 """
@@ -18,7 +22,7 @@ content, so a ``Tree`` equals the ``Graph`` it was built from.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -42,7 +46,8 @@ class InvalidStepError(ValueError):
 # parse_edge_list checks n against this before it allocates per-vertex lists
 EDGE_LIST_MAX_N = 10_000_000
 
-# (order, parent) of a rooted_order walk, frozen so that one can be shared
+# (order, parent) of a rooted_order walk, in positions, frozen so that one
+# can be shared
 Walk = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -62,9 +67,14 @@ class Graph:
     @staticmethod
     def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Trusted: in-range, loop-free edges, repeats unchecked; always a plain Graph."""
+        return Graph._from_adjacency(_sorted_adjacency(n, edges))
+
+    @staticmethod
+    def _from_adjacency(adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+        """Trusted: sorted neighbor tuples, repeats unchecked; always a plain Graph."""
         g = object.__new__(Graph)
-        g.n = n
-        g.adjacency = _sorted_adjacency(n, edges)
+        g.n = len(adjacency)
+        g.adjacency = adjacency
         return g
 
     @property
@@ -105,6 +115,11 @@ def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[i
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return _frozen(adj)
+
+
+def _frozen(adj: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The neighbor lists, each sorted in place, as tuples."""
     for nbrs in adj:
         nbrs.sort()
     return tuple(map(tuple, adj))
@@ -150,18 +165,28 @@ class Forest(Graph):
 
     def _check(self, order: list[int], parent: list[int]) -> None:
         if self.m != self.n - self.ncomponents:
-            # name the first component whose degree sum exceeds 2(size - 1)
+            # name the first component whose degree sum exceeds 2(size - 1);
+            # a component's positions run from its root to the next root
             adj = self.adjacency
-            surplus = [2] * self.ncomponents
-            for v, c in enumerate(_component_ids(order, parent)):
-                surplus[c] += len(adj[v]) - 2
-            heads = [v for v in order if parent[v] < 0]
-            s = next(h for h, extra in zip(heads, surplus) if extra)
-            raise ValueError(f"component containing vertex {s} has a cycle")
+            surplus = 0
+            for v, p in zip(order, parent):
+                if p < 0:
+                    if surplus:
+                        break
+                    head, surplus = v, 2
+                surplus += len(adj[v]) - 2
+            raise ValueError(f"component containing vertex {head} has a cycle")
 
     @property
     def component(self) -> tuple[int, ...]:
-        return tuple(_component_ids(*self.walk))
+        order, parent = self.walk
+        comp = [0] * len(order)
+        k = -1
+        for v, p in zip(order, parent):
+            if p < 0:
+                k += 1
+            comp[v] = k
+        return tuple(comp)
 
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.
@@ -195,44 +220,36 @@ class Tree(Forest):
 def rooted_order(
     adj: Sequence[Sequence[int]], roots: Iterable[int] = ()
 ) -> tuple[list[int], list[int]]:
-    """BFS order and parent array over every component of a graph.
+    """The BFS walk of every component of a graph, in positions.
 
-    The components of ``roots`` come first, each rooted at the first root
-    it contains; every other component follows in order of its smallest
-    vertex, rooted there. Each parent precedes its children in the order,
-    and ``parent`` is -1 exactly at the component roots.
+    ``order[i]`` is the vertex at position i and ``parent[i]`` the position
+    of its parent, or -1 at a component root. The components of ``roots``
+    come first, each rooted at the first root it contains; every other
+    component follows in order of its smallest vertex, rooted there. Each
+    component takes consecutive positions, every parent comes before its
+    children, and siblings sit in consecutive positions in ascending label
+    order, since each adjacency row is sorted.
     """
     n = len(adj)
+    order = [0] * n
     parent = [-1] * n
     seen = bytearray(n)
-    order: list[int] = []
+    head = tail = 0  # the next position to expand, and the next free one
     for s in itertools.chain(roots, range(n)):
         if seen[s]:
             continue
         seen[s] = 1
-        component = [s]
-        for v in component:
-            for u in adj[v]:
+        order[tail] = s
+        tail += 1
+        while head < tail:
+            for u in adj[order[head]]:
                 if not seen[u]:
                     seen[u] = 1
-                    parent[u] = v
-                    component.append(u)
-        order += component
+                    order[tail] = u
+                    parent[tail] = head
+                    tail += 1
+            head += 1
     return order, parent
-
-
-def _component_ids(order: Sequence[int], parent: Sequence[int]) -> list[int]:
-    """Component id of every vertex: roots are numbered in walk order."""
-    comp = [0] * len(order)
-    k = -1
-    for v in order:
-        p = parent[v]
-        if p < 0:
-            k += 1
-            comp[v] = k
-        else:
-            comp[v] = comp[p]
-    return comp
 
 
 def _strict_int(token: str) -> int:
@@ -285,29 +302,37 @@ def parse_edge_list(data: bytes | str) -> Graph:
     if n > EDGE_LIST_MAX_N:
         raise SizeLimitError(f"edge lists capped at n={EDGE_LIST_MAX_N}, got {n}")
 
-    def edge_lines() -> Iterator[tuple[int, str, int, int]]:
-        for idx, raw in enumerate(itertools.islice(lines, 1, None), start=2):
-            stripped = raw.strip()
-            if not stripped:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # one int object per label, which every edge naming it shares; an edge
+    # that kept the two it read would hold about twice as many
+    label = list(range(n))
+    for idx, raw in enumerate(itertools.islice(lines, 1, None), start=2):
+        parts = raw.split()
+        if len(parts) != 2:
+            if not parts:
                 continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'u v', got {stripped!r}", line=idx)
-            try:
-                u, v = number(parts[0]), number(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer label in {stripped!r}", line=idx) from None
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise ParseError(f"label outside 0..{n - 1} in {stripped!r}", line=idx)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", line=idx)
-            yield idx, stripped, u, v
-
-    g = Graph._from_edges(n, ((u, v) for _, _, u, v in edge_lines()))
-    if (repeat := _repeated_edge(g.adjacency)) is not None:
-        idx, text = [(i, s) for i, s, u, v in edge_lines() if {u, v} == set(repeat)][1]
-        raise ParseError(f"duplicate edge {text!r}", line=idx)
-    return g
+            raise ParseError(f"expected 'u v', got {raw.strip()!r}", line=idx)
+        try:
+            u, v = number(parts[0]), number(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer label in {raw.strip()!r}", line=idx) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"label outside 0..{n - 1} in {raw.strip()!r}", line=idx)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", line=idx)
+        adj[u].append(label[v])
+        adj[v].append(label[u])
+    adjacency = _frozen(adj)
+    if (repeat := _repeated_edge(adjacency)) is not None:
+        # every line is a valid edge by now: rescan for the repeat's second line
+        wanted = set(repeat)
+        idx, raw = [
+            (idx, raw)
+            for idx, raw in enumerate(itertools.islice(lines, 1, None), start=2)
+            if set(map(number, raw.split())) == wanted
+        ][1]
+        raise ParseError(f"duplicate edge {raw.strip()!r}", line=idx)
+    return Graph._from_adjacency(adjacency)
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -361,10 +386,11 @@ def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
     """Distances from ``start`` within its component; every other component
     counts from its smallest vertex."""
     order, parent = rooted_order(adj, (start,))
-    dist = [0] * len(adj)
-    for v in order:
-        if parent[v] >= 0:
-            dist[v] = dist[parent[v]] + 1
+    depth = [0] * len(adj)  # by position
+    dist = [0] * len(adj)  # by label
+    for i, p in enumerate(parent):
+        if p >= 0:
+            dist[order[i]] = depth[i] = depth[p] + 1
     return dist
 
 
@@ -394,22 +420,21 @@ def longest_path(t: Tree) -> list[int]:
     # Root at start; a path from the root is a descent, so greedily take the
     # smallest child whose downward height still reaches the full length.
     order, parent = rooted_order(adj, (start,))
-    height = [0] * t.n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0 and height[v] + 1 > height[p]:
-            height[p] = height[v] + 1
+    height = [0] * t.n  # by position
+    for i in range(t.n - 1, 0, -1):
+        p = parent[i]
+        if height[i] >= height[p]:
+            height[p] = height[i] + 1
+    # Each vertex's children sit in consecutive positions in ascending label
+    # order, and these runs follow their parents' order, so one forward scan
+    # meets the descent's choices in turn.
     path = [start]
-    current = start
-    remaining = diam
-    while remaining > 0:
-        current = next(
-            u
-            for u in adj[current]
-            if parent[u] == current and height[u] >= remaining - 1
-        )
-        path.append(current)
-        remaining -= 1
+    current = j = 0
+    for remaining in range(diam - 1, -1, -1):
+        while parent[j] != current or height[j] < remaining:
+            j += 1
+        path.append(order[j])
+        current = j
     return path
 
 

@@ -28,20 +28,23 @@ along a walk (``graphs.rooted_order``): by default the forest's own
 ``walk``, which roots every component at its smallest vertex and which
 the ``Forest`` constructor already made while validating (a ``Forest`` is
 a ``Graph`` that carries its walk, and a ``Tree`` is a one-component
-``Forest``), so the solvers do not walk the graph again. The number is
-the sum, over the component roots, of the best root state. A witness is
-read back top-down along the same walk: each vertex's state follows from
-its parent's state and its own four costs.
+``Forest``), so the solvers do not walk the graph again. The walk is kept
+in BFS positions, each parent before its children, so the table is indexed
+by position and every pass runs over ``range(n)``, reading its lists in
+order; results go back to labels once, through the walk's ``order``. The
+number is the sum, over the component roots, of the best root state. A
+witness is read back top-down along the same walk: each vertex's state
+follows from its parent's state and its own four costs.
 
 State A's D-child is always picked by one rule: the first child in walk
 order whose swap to D, D - min(A, C), equals the parent's A - B, the
-cheapest swap. The walk is a BFS over sorted adjacency, so siblings come
-in ascending label order and ties go to the lower child label. The
-exponential route, ``brute_force``, is a Gray-code scan over all 2^n
-placements of the 2s with the forced minimal completion, and a literal
-scan of all 3^n labelings (``_brute_ternary``) stays as its reference;
-both are independent ground truth for small graphs and plain Python, so
-the package has no runtime dependency.
+cheapest swap. The walk is a BFS over sorted adjacency, so siblings sit in
+consecutive positions in ascending label order and ties go to the lower
+child label. The exponential route, ``brute_force``, is a Gray-code scan
+over all 2^n placements of the 2s with the forced minimal completion, and
+a literal scan of all 3^n labelings (``_brute_ternary``) stays as its
+reference; both are independent ground truth for small graphs and plain
+Python, so the package has no runtime dependency.
 
 The set returned by ``forced_zero_set`` contains the vertices labeled 0 by
 every minimum-weight PRDF; "any" in the usual phrasing of that set is read
@@ -79,11 +82,12 @@ def is_valid_prdf(g: Graph, values: Sequence[int]) -> bool:
 
 
 class StateTable(NamedTuple):
-    """Per-vertex costs of the four root-directed states, over a forest,
+    """Per-position costs of the four root-directed states, over a forest,
     rooted as the walk ``_tables`` was given, or, once ``_reroot`` has
     rewritten it, with each vertex as the root of its own component.
-    Costs at or above INFEASIBLE mean the state cannot be completed (a leaf
-    cannot be satisfied from below, so its A entry is always INFEASIBLE).
+    Entry i belongs to the vertex at walk position i. Costs at or above
+    INFEASIBLE mean the state cannot be completed (a leaf cannot be
+    satisfied from below, so its A entry is always INFEASIBLE).
     """
 
     a: list[int]
@@ -92,15 +96,16 @@ class StateTable(NamedTuple):
     d: list[int]
 
 
-def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
+def _tables(parent: Sequence[int]) -> StateTable:
     """Run the DP bottom-up along a walk of a forest, keeping all states.
 
-    The walk is a ``rooted_order`` result, read but never written; the
-    adjacency itself is not needed, since the parent array names every
-    edge. See StateTable.
+    ``parent`` is a walk's parent array in positions, each parent before
+    its children (a ``rooted_order`` result, or a generator's preorder
+    array), read but never written; the adjacency itself is not needed,
+    since the parent array names every edge. See StateTable.
     """
-    n = len(order)
-    # Until the walk reaches v, b[v] sums min(A, C) over v's finished
+    n = len(parent)
+    # Until the pass reaches v, b[v] sums min(A, C) over v's finished
     # children, a[v] holds their cheapest swap to D, c[v] sums min(A, C, D)
     # and d[v] sums min(B, C, D); reaching v turns them into v's own costs.
     # Reusing the four lists keeps one live int per state, not two.
@@ -108,7 +113,7 @@ def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
     b = [0] * n
     c = [0] * n
     d = [0] * n
-    for v in reversed(order):
+    for v in range(n - 1, -1, -1):
         bv = b[v]
         av = a[v] = bv + a[v]
         cv = c[v] = 1 + c[v]
@@ -128,22 +133,23 @@ def _tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
     return StateTable(a, b, c, d)
 
 
-def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> Iterator[int]:
+def _reroot(parent: Sequence[int], table: StateTable) -> Iterator[int]:
     """Turn a walk's down table into the table rooted at every vertex. O(n).
 
     ``table`` is ``_tables``' result on the same walk, rewritten in place
-    top-down: when the pass yields a vertex v, v's four entries are the
-    costs of v's whole component rooted at v, so C(v) - 1 is the number of
-    T - v, whose components are exactly v's neighbour sides. Entries of
-    vertices not yet yielded still cover only their subtrees. A vertex v
-    with parent p takes p's side away from v from p's finished entries:
-    B, C and D sum over p's sides, so v's part is subtracted; A adds the
-    cheapest swap to D, so each vertex also keeps its second-cheapest swap
-    and which side holds the cheapest. A caller may stop the pass at the
-    first vertex it has seen enough of; ``_all_roots`` drains it.
+    top-down, one position after another: when the pass yields a position
+    v, v's four entries are the costs of v's whole component rooted at v,
+    so C(v) - 1 is the number of T - v, whose components are exactly v's
+    neighbour sides. Entries of positions not yet yielded still cover only
+    their subtrees. A vertex v with parent p takes p's side away from v
+    from p's finished entries: B, C and D sum over p's sides, so v's part
+    is subtracted; A adds the cheapest swap to D, so each vertex also
+    keeps its second-cheapest swap and which side holds the cheapest. A
+    caller may stop the pass at the first vertex it has seen enough of;
+    ``_all_roots`` drains it.
     """
     a, b, c, d = table
-    n = len(order)
+    n = len(parent)
     # per vertex: the second-cheapest swap over its children, and the child
     # with the cheapest, picked by the module docstring's D-child rule; the
     # cheapest itself is A - B
@@ -157,8 +163,7 @@ def _reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> I
                 holder[p] = u
             elif swap < second[p]:
                 second[p] = swap
-    for v in order:
-        p = parent[v]
+    for v, p in enumerate(parent):
         if p >= 0:
             av, bv, cv, dv = a[v], b[v], c[v], d[v]
             # p's side away from v: p's costs less what v's subtree added
@@ -187,37 +192,38 @@ def _all_roots(x: Forest) -> StateTable:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
     The down table along the forest's walk, rewritten in place by one
-    drained ``_reroot`` pass: each vertex's A, C and D are then the costs
-    of its own component rooted there, so the component's number is their
-    minimum and C - 1 is the number of that component less the vertex.
+    drained ``_reroot`` pass: each position's A, C and D are then the costs
+    of its vertex's own component rooted there, so the component's number
+    is their minimum and C - 1 is the number of that component less the
+    vertex. Entries are by walk position; ``x.walk[0]`` names the vertices.
     """
-    order, parent = x.walk
-    table = _tables(order, parent)
-    for _ in _reroot(order, parent, table):
+    parent = x.walk[1]
+    table = _tables(parent)
+    for _ in _reroot(parent, table):
         pass
     return table
 
 
-def _deletion_stable(order: Sequence[int], parent: Sequence[int]) -> bool:
+def _deletion_stable(parent: Sequence[int]) -> bool:
     """Whether deleting any one vertex of a tree leaves its number unchanged,
-    from a walk alone: any order that puts each parent before its children.
+    from a walk's parent array alone, in any positions that put each parent
+    before its children.
 
     The down table already holds the root's whole-tree costs, so the root's
     own deletion, whose number is C(root) - 1, is checked before the
     rerooting pass starts; the pass then stops at the first vertex whose
     deletion changes the number.
     """
-    table = _tables(order, parent)
+    table = _tables(parent)
     a, _, c, d = table
-    root = order[0]
-    number = min(a[root], c[root], d[root])
-    return c[root] - 1 == number and all(c[v] - 1 == number for v in _reroot(order, parent, table))
+    number = min(a[0], c[0], d[0])
+    return c[0] - 1 == number and all(c[v] - 1 == number for v in _reroot(parent, table))
 
 
 def prd_number(x: Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    order, parent = x.walk
-    a, _, c, d = _tables(order, parent)
+    parent = x.walk[1]
+    a, _, c, d = _tables(parent)
     return sum(min(a[v], c[v], d[v]) for v, p in enumerate(parent) if p < 0)
 
 
@@ -233,17 +239,17 @@ def optimal_assignment(x: Forest) -> tuple[int, ...]:
     One pass top-down along the walk reads the table back: each vertex's
     state follows from its parent's state, a root's as if its parent were
     in state C, and under a parent in state A the D-child is the one the
-    module docstring's rule picks. Deterministic: each component is rooted
-    at its smallest vertex, and ties break toward the earlier state letter,
-    then the lower child label.
+    module docstring's rule picks. One scatter through the walk's order
+    then puts the labels in vertex order. Deterministic: each component is
+    rooted at its smallest vertex, and ties break toward the earlier state
+    letter, then the lower child label.
     """
     order, parent = x.walk
-    a, b, c, d = _tables(order, parent)
+    a, b, c, d = _tables(parent)
     n = len(parent)
-    state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D
+    state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D, by position
     placed = bytearray(n)  # 1 once a vertex in state A has its D-child
-    for v in order:
-        p = parent[v]
+    for v, p in enumerate(parent):
         above = state[p] if p >= 0 else 2
         av, cv = a[v], c[v]
         if above == 0 and not placed[p] and d[v] - (av if av < cv else cv) == a[p] - b[p]:
@@ -260,7 +266,10 @@ def optimal_assignment(x: Forest) -> tuple[int, ...]:
                 state[v] = 2
             else:
                 state[v] = 3
-    return tuple(state.translate(_STATE_LABEL))
+    labels = bytearray(n)
+    for v, label in zip(order, state.translate(_STATE_LABEL)):
+        labels[v] = label
+    return tuple(labels)
 
 
 def forced_zero_set(x: Forest) -> frozenset[int]:
@@ -274,7 +283,7 @@ def forced_zero_set(x: Forest) -> frozenset[int]:
     costs = _all_roots(x)
     return frozenset(
         v
-        for v, (av, cv, dv) in enumerate(zip(costs.a, costs.c, costs.d))
+        for v, av, cv, dv in zip(x.walk[0], costs.a, costs.c, costs.d)
         if av < cv and av < dv
     )
 

@@ -71,7 +71,7 @@ def characterization_sweep(max_n: int) -> dict:
         stable_count = 0
         for parent in _free_tree_parents(n):
             trees_checked += 1
-            stable = _deletion_stable(range(n), parent)
+            stable = _deletion_stable(parent)
             if not stable and n % 3:
                 continue
             t = _parents_to_tree(parent)
@@ -113,7 +113,7 @@ def _stable_trees(n: int) -> tuple[Tree, ...]:
     return tuple(
         _parents_to_tree(parent)
         for parent in _free_tree_parents(n)
-        if _deletion_stable(range(n), parent)
+        if _deletion_stable(parent)
     )
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 import prdom.canonical
 import prdom.graphs
 from conftest import ingest_shaped_forest, labeled_forests, labeled_trees
+from label_walk import forms_by_second_walk as _forms_by_second_walk
 from prdom import (
     Forest,
     Graph,
@@ -25,8 +25,6 @@ from prdom import (
     make_spider,
     remove_vertex,
 )
-from prdom.canonical import _centroids
-from prdom.graphs import rooted_order
 
 
 def _relabel(t: Tree, perm) -> Tree:
@@ -117,66 +115,9 @@ def test_forest_forms_are_relabeling_invariant(f, rng):
     assert sorted(canonical_forms(g)) == sorted(canonical_forms(f))
 
 
-# The encoder as it was before it re-rooted Forest.walk: a second rooted_order
-# walk from the centroids and a fresh dict of pushed codes per level. It is
-# the reference the re-rooting encoder must match byte for byte.
-def _parenthesize_by_sentinels(table: list[tuple[int, ...]], code: int) -> bytes:
-    """The parenthesis string of a subtree class, children in code order."""
-    out = bytearray()
-    stack = [code]
-    while stack:
-        c = stack.pop()
-        if c < 0:
-            out.append(41)  # )
-            continue
-        out.append(40)  # (
-        stack.append(-1)
-        stack.extend(reversed(table[c]))
-    return bytes(out)
-
-
-def _forms_by_second_walk(x: Forest) -> list[bytes]:
-    """One relabeling-invariant form per component, in order of each
-    component's smallest vertex: equal forms iff isomorphic components."""
-    adj = x.adjacency
-    cents = _centroids(*x.walk)
-    order, parent = rooted_order(adj, [cs[0] for cs in cents])
-    for cs in cents:
-        if len(cs) == 2:
-            parent[cs[1]] = -1  # cut the central edge: two rooted halves
-    levels: list[list[int]] = []
-    code = [0] * len(adj)  # the depth, until the vertex's level is ranked
-    for v in order:
-        p = parent[v]
-        d = code[v] = code[p] + 1 if p >= 0 else 0
-        if d == len(levels):
-            levels.append([])
-        levels[d].append(v)
-    # Isomorphic subtrees share a code c; table[c] holds its sorted child
-    # codes, which alone rank the level, so one ranking serves every tree.
-    # pushed[v] collects the codes of v's children as their level is ranked.
-    table: list[tuple[int, ...]] = []
-    pushed: defaultdict[int, list[int]] = defaultdict(list)
-    for level in reversed(levels):
-        keys = [tuple(sorted(pushed[v])) if v in pushed else () for v in level]
-        distinct = sorted(set(keys))
-        rank = {key: c for c, key in enumerate(distinct, len(table))}
-        table += distinct
-        pushed = defaultdict(list)
-        for v, key in zip(level, keys):
-            c = code[v] = rank[key]
-            p = parent[v]
-            if p >= 0:
-                pushed[p].append(c)
-    forms = []
-    for cs in cents:
-        # no encoding is a prefix of another, so sorted halves give the
-        # smaller of the two concatenations
-        halves = sorted(_parenthesize_by_sentinels(table, code[c]) for c in cs)
-        forms.append((b"B" if len(cs) == 2 else b"C") + b"".join(halves))
-    return forms
-
-
+# The encoder as it was before it re-rooted Forest.walk, a second walk from
+# the centroids (``label_walk.forms_by_second_walk``), is the reference the
+# re-rooting encoder must match byte for byte.
 def test_forms_match_the_second_walk_on_all_small_trees():
     rng = random.Random(12)
     for n in range(1, 13):
@@ -201,9 +142,9 @@ def test_forms_match_the_second_walk_on_forests(f):
         Forest(Graph(0, [])),
         Forest(Graph(1, [])),  # K1
         Forest(Graph(2, [(0, 1)])),  # K2: the walk root is a centroid
-        # P4 walked from 0: the second centroid, 2, is the first's walk child
+        # P4 walked from 0: the lower centroid label, 1, comes first in the walk
         Forest(Graph(4, [(0, 1), (1, 2), (2, 3)])),
-        # P4 as 0-3-2-1: the second centroid, 3, is the first's walk parent
+        # P4 as 0-3-2-1: the higher centroid label, 3, comes first in the walk
         Forest(Graph(4, [(0, 3), (3, 2), (2, 1)])),
         # both cases again as double stars, beside K2 and K1 (vertex 9)
         Forest(Graph(15, [(0, 5), (5, 1), (5, 7), (1, 6), (1, 8),

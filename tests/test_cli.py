@@ -416,6 +416,46 @@ def test_an_empty_certificate_path_is_a_usage_error(argv, flag, monkeypatch, cap
     assert stdin.tell() == 0
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["solve", "--input", "", "--output", ""], "--input"),
+        (["solve", "--witness", "--input", ""], "--input"),
+        (["solve", "--output", ""], "--output"),
+        (["stable", "--input", ""], "--input"),
+        (["stable", "--output", ""], "--output"),
+        (["recognize", "--input", ""], "--input"),
+        (["recognize", "--output", ""], "--output"),
+        (["generate", "--steps", "2", "--output", ""], "--output"),
+        (["verify", "--max-n", "5", "--output", ""], "--output"),
+        (["verify", "--certificate", "cert.txt", "--input", ""], "--input"),
+    ],
+)
+def test_an_empty_input_or_output_path_is_a_usage_error(argv, flag, monkeypatch, capsys):
+    # an empty path is not read as "stdin" or "stdout": refused before any work
+    stdin = io.StringIO(P3_EDGELIST)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"prdom: {flag} needs a nonempty file path\n")
+    assert stdin.tell() == 0
+
+
+def test_an_empty_path_is_refused_by_the_program(tmp_path):
+    # the whole program, as run: one line on stderr and exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "prdom.cli", "solve", "--input", "", "--output", ""],
+        input=P3_EDGELIST,
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "prdom: --input needs a nonempty file path\n"
+    )
+
+
 def test_the_empty_certificate_builds_p3(tmp_path, monkeypatch, capsys):
     # P3's certificate is the empty tuple, so nothing may read it as false
     cert_path = tmp_path / "cert.txt"

@@ -175,7 +175,7 @@ def _replay_per_step(c):
             raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
         edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
-        if not family._deletion_stable(*Tree(Graph(n + 3, edges)).walk):
+        if not family._deletion_stable(Tree(Graph(n + 3, edges)).walk[1]):
             raise InvalidStepError(f"step {i}: intermediate tree is not stable")
     return Tree(Graph(3 + 3 * len(c), edges))
 
@@ -184,9 +184,9 @@ def test_replay_checks_stability_once(monkeypatch):
     cert = random_certificate(300, random.Random(11))
     calls = []
 
-    def counting(order, parent):
-        calls.append(len(order))
-        return solver._deletion_stable(order, parent)
+    def counting(parent):
+        calls.append(len(parent))
+        return solver._deletion_stable(parent)
 
     monkeypatch.setattr(family, "_deletion_stable", counting)
     t = replay_certificate(cert)
@@ -199,7 +199,7 @@ def test_replay_checks_stability_once(monkeypatch):
 def test_replay_names_the_first_unstable_step(k, monkeypatch):
     # every tree of order 3 + 3k or more reads as unstable: the tree after
     # step k - 1 is the first
-    monkeypatch.setattr(family, "_deletion_stable", lambda order, parent: len(order) < 3 + 3 * k)
+    monkeypatch.setattr(family, "_deletion_stable", lambda parent: len(parent) < 3 + 3 * k)
     cert = random_certificate(300, random.Random(k))
     if k > 300:
         assert replay_certificate(cert) == _replay_per_step(cert)

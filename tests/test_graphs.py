@@ -1,8 +1,11 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import label_walk
 from conftest import NOT_TREES, labeled_forests, labeled_trees, small_graphs
 import prdom
 import prdom.solver
@@ -209,6 +212,26 @@ def test_distances_and_periphery_among_isolated_vertices():
     assert _bfs_distances([(1,), (0, 2), (1,), (), (5,), (4,)], 0) == [0, 1, 2, 0, 0, 1]
 
 
+def _smallest_diameter_path(t):
+    """The lexicographically smallest vertex sequence of a longest path,
+    over every pair of vertices at the diameter's distance."""
+    g = nx.from_dict_of_lists(dict(enumerate(t.adjacency)))
+    paths = [p for u in range(t.n) for p in nx.single_source_shortest_path(g, u).values()]
+    longest = max(map(len, paths))
+    return min(p for p in paths if len(p) == longest)
+
+
+def test_longest_path_is_the_smallest_diameter_path():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            assert longest_path(t) == _smallest_diameter_path(t)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = Tree(Graph(n, [(perm[u], perm[v]) for u, v in t.edges()]))
+            assert longest_path(shuffled) == _smallest_diameter_path(shuffled)
+
+
 def test_longest_path_realizes_diameter():
     for t in (make_star(4), make_double_star(3, 1), make_spider([1, 2, 3])):
         path = longest_path(t)
@@ -285,12 +308,26 @@ def test_rooted_order_walks_every_component(f, data):
     picks = data.draw(st.lists(st.integers(0, f.n - 1), max_size=4)) if f.n else []
     order, parent = rooted_order(f.adjacency, picks)
     assert sorted(order) == list(range(f.n))
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        if parent[v] >= 0:
-            assert parent[v] in f.adjacency[v]
-            assert position[parent[v]] < position[v]
-    roots = [v for v in order if parent[v] < 0]
+    # parent holds positions: each component fills the positions from its
+    # root to the next root, each parent comes first, and each vertex's
+    # children fill consecutive positions in ascending label order
+    root = 0
+    for i, p in enumerate(parent):
+        if p < 0:
+            root = i
+        else:
+            assert order[p] in f.adjacency[order[i]]
+            assert root <= p < i
+    children = [i for i, p in enumerate(parent) if p >= 0]
+    assert [parent[i] for i in children] == sorted(parent[i] for i in children)
+    for i, j in zip(children, children[1:]):
+        if parent[i] == parent[j]:
+            assert j == i + 1 and order[i] < order[j]
+    # the order of the label walk it replaced, with the same parents
+    label_order, label_parent = label_walk.rooted_order(f.adjacency, picks)
+    assert label_order == order
+    assert [label_parent[v] for v in order] == [order[p] if p >= 0 else -1 for p in parent]
+    roots = [v for v, p in zip(order, parent) if p < 0]
     smallest = _smallest_in_component(f.n, f.edges())
     # each pick roots its component unless an earlier pick already did
     expected = []
@@ -305,7 +342,7 @@ def _per_vertex_components(g):
     """The component ids and first cyclic component by the per-vertex loop
     ``Forest`` ran on every input before it checked by counting edges."""
     adj = g.adjacency
-    order, parent = rooted_order(adj)
+    order, parent = label_walk.rooted_order(adj)
     comp = [0] * g.n
     roots, surplus = [], []
     for v in order:
@@ -372,7 +409,8 @@ def test_tree_and_forest_fill_the_shared_walk():
     g = Graph(5, [(3, 1), (1, 4), (0, 2)])
     assert Graph.__slots__ == ("n", "adjacency") and not hasattr(g, "walk")
     f = Forest(g)
-    assert f.walk == ((0, 2, 1, 3, 4), (-1, -1, 0, 1, 1))
+    # positions: 2 hangs off position 0, and 3 and 4 off position 2
+    assert f.walk == ((0, 2, 1, 3, 4), (-1, 0, -1, 2, 2))
     assert (f.n, f.adjacency, f.ncomponents) == (g.n, g.adjacency, 2)
     t = Tree(Graph(3, [(0, 1), (1, 2)]))
     assert t.walk == ((0, 1, 2), (-1, 0, 1)) and t.ncomponents == 1

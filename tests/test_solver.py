@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import label_walk
 from conftest import ingest_shaped_forest, labeled_forests, labeled_trees, small_graphs
 from prdom import (
     INFEASIBLE,
@@ -158,7 +159,8 @@ def _root_costs(t, v):
     """The A, C and D costs of ``t`` rooted at ``v``: the least weight with
     ``v`` labeled 0, 1 and 2."""
     costs = _all_roots(t)
-    return costs.a[v], costs.c[v], costs.d[v]
+    i = t.walk[0].index(v)
+    return costs.a[i], costs.c[i], costs.d[i]
 
 
 def test_forced_values_on_p3():
@@ -197,22 +199,22 @@ def _forced_by_a_table_rooted_at(t, v, allowed):
     """The least weight with ``v``'s label in ``allowed``, the route before
     the rerooting pass: one DP table rooted at ``v``, then the allowed root
     states of ``v``."""
-    table = _tables(*rooted_order(t.adjacency, (v,)))
+    table = _tables(rooted_order(t.adjacency, (v,))[1])  # v at position 0
     best = INFEASIBLE
-    if 0 in allowed and table.a[v] < best:
-        best = table.a[v]
-    if 1 in allowed and table.c[v] < best:
-        best = table.c[v]
-    if 2 in allowed and table.d[v] < best:
-        best = table.d[v]
+    if 0 in allowed and table.a[0] < best:
+        best = table.a[0]
+    if 1 in allowed and table.c[0] < best:
+        best = table.c[0]
+    if 2 in allowed and table.d[0] < best:
+        best = table.d[0]
     return best if best < INFEASIBLE else math.inf
 
 
 def _all_roots_match_a_table_per_root(t):
     costs = _all_roots(t)
-    for v in range(t.n):
-        table = _tables(*rooted_order(t.adjacency, (v,)))
-        assert (costs.a[v], costs.c[v], costs.d[v]) == (table.a[v], table.c[v], table.d[v])
+    for i, v in enumerate(t.walk[0]):
+        table = _tables(rooted_order(t.adjacency, (v,))[1])  # v at position 0
+        assert (costs.a[i], costs.c[i], costs.d[i]) == (table.a[0], table.c[0], table.d[0])
 
 
 def test_forced_matches_a_table_per_root_on_all_small_trees():
@@ -259,8 +261,8 @@ def test_state_table_holds_only_costs_and_brute_force_one_route():
 
 
 def test_state_table_leaf_base_case():
-    table = _tables(*make_path(4).walk)
-    leaf = 3  # the far end is a leaf of the rooted tree
+    table = _tables(make_path(4).walk[1])
+    leaf = 3  # the far end, at the last position, is a leaf of the rooted tree
     assert table.a[leaf] >= INFEASIBLE
     assert table.b[leaf] == 0
     assert table.c[leaf] == 1
@@ -270,11 +272,11 @@ def test_state_table_leaf_base_case():
 @given(labeled_trees(max_n=20))
 @settings(max_examples=100, deadline=None)
 def test_state_table_bounds(t):
-    order, parent = t.walk
-    table = _tables(order, parent)
-    # subtree sizes from the parent array
+    parent = t.walk[1]
+    table = _tables(parent)
+    # subtree sizes from the parent array, by position
     size = [1] * t.n
-    for v in reversed(order):
+    for v in range(t.n - 1, -1, -1):
         p = parent[v]
         if p >= 0:
             size[p] += size[v]
@@ -391,8 +393,8 @@ def _reconstruct(table, parent, adj, root, root_state, values):
 
 def _stack_witness(x):
     adj = x.adjacency
-    order, parent = rooted_order(adj)
-    table = _tables(order, parent)
+    order, parent = label_walk.walk(x)
+    table = label_walk.tables(order, parent)
     values = [0] * len(adj)
     for root in (v for v, p in enumerate(parent) if p < 0):
         best = None
