@@ -64,7 +64,6 @@ _EXPORTS = {
         "prd_number",
     ),
     "stability": (
-        "OPTIMA_SCAN_MAX_N",
         "BranchSite",
         "OptimaReport",
         "StabilityReport",

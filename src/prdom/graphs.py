@@ -148,9 +148,8 @@ class Forest(Graph):
     ``Forest(graph)`` shares the graph's order and adjacency, walks it once
     and keeps the result as ``walk``; the check counts: a graph is a forest
     exactly when m = n - c, where c is the number of components, the roots
-    of its walk. Components are numbered 0, 1, ... by their smallest vertex
-    label; ``component`` maps each vertex to its component id, read off the
-    walk on each access. A Forest compares and hashes as the Graph it is.
+    of its walk, which come in order of each component's smallest vertex
+    label. A Forest compares and hashes as the Graph it is.
     """
 
     __slots__ = ("walk", "ncomponents")
@@ -177,27 +176,18 @@ class Forest(Graph):
                 surplus += len(adj[v]) - 2
             raise ValueError(f"component containing vertex {head} has a cycle")
 
-    @property
-    def component(self) -> tuple[int, ...]:
-        order, parent = self.walk
-        comp = [0] * len(order)
-        k = -1
-        for v, p in zip(order, parent):
-            if p < 0:
-                k += 1
-            comp[v] = k
-        return tuple(comp)
-
     def component_trees(self) -> list[tuple[Tree, tuple[int, ...]]]:
         """Each component as a densely relabeled Tree with its original labels.
 
-        Returns pairs (tree, labels) where labels[i] is the original label of
-        the tree's vertex i.
+        Returns pairs (tree, labels) in order of each component's smallest
+        vertex, where labels is ascending and labels[i] is the original
+        label of the tree's vertex i. A component's labels are those at its
+        run of walk positions, from its root to the next root, sorted.
         """
-        buckets: list[list[int]] = [[] for _ in range(self.ncomponents)]
-        for v, c in enumerate(self.component):
-            buckets[c].append(v)
-        return [(Tree(_induced(self, verts)), tuple(verts)) for verts in buckets]
+        order, parent = self.walk
+        roots = [i for i, p in enumerate(parent) if p < 0]
+        runs = (sorted(order[a:b]) for a, b in zip(roots, [*roots[1:], self.n]))
+        return [(Tree(_induced(self, verts)), tuple(verts)) for verts in runs]
 
 
 class Tree(Forest):
@@ -322,13 +312,16 @@ def parse_edge_list(data: bytes | str) -> Graph:
             raise ParseError(f"self-loop at vertex {u}", line=idx)
         adj[u].append(label[v])
         adj[v].append(label[u])
+    # neither the lines nor the labels are held while the adjacency is
+    # frozen; only a repeat, found after the last line, needs the lines again
+    del lines, label
     adjacency = _frozen(adj)
     if (repeat := _repeated_edge(adjacency)) is not None:
         # every line is a valid edge by now: rescan for the repeat's second line
         wanted = set(repeat)
         idx, raw = [
             (idx, raw)
-            for idx, raw in enumerate(itertools.islice(lines, 1, None), start=2)
+            for idx, raw in enumerate(itertools.islice(data.split("\n"), 1, None), start=2)
             if set(map(number, raw.split())) == wanted
         ][1]
         raise ParseError(f"duplicate edge {raw.strip()!r}", line=idx)
@@ -346,14 +339,14 @@ def make_path(n: int) -> Tree:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Tree(Graph(n, ((i, i + 1) for i in range(n - 1))))
+    return Tree(Graph._from_edges(n, ((i, i + 1) for i in range(n - 1))))
 
 
 def make_star(k: int) -> Tree:
     """Star with center 0 and k leaves 1..k."""
     if k < 1:
         raise ValueError("star needs at least one leaf")
-    return Tree(Graph(k + 1, ((0, i) for i in range(1, k + 1))))
+    return Tree(Graph._from_edges(k + 1, ((0, i) for i in range(1, k + 1))))
 
 
 def make_double_star(p: int, q: int) -> Tree:
@@ -363,7 +356,7 @@ def make_double_star(p: int, q: int) -> Tree:
     edges = [(0, 1)]
     edges.extend((0, i) for i in range(2, p + 2))
     edges.extend((1, i) for i in range(p + 2, p + q + 2))
-    return Tree(Graph(p + q + 2, edges))
+    return Tree(Graph._from_edges(p + q + 2, edges))
 
 
 def make_spider(legs: Sequence[int]) -> Tree:
@@ -379,7 +372,7 @@ def make_spider(legs: Sequence[int]) -> Tree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return Tree(Graph(nxt, edges))
+    return Tree(Graph._from_edges(nxt, edges))
 
 
 def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -395,10 +388,8 @@ def _bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
 
 
 def diameter(t: Tree) -> int:
-    """Number of edges on a longest path (0 for K1). Two sweeps: a vertex
-    farthest from 0 ends a longest path, so its eccentricity is the diameter."""
-    d0 = _bfs_distances(t.adjacency, 0)
-    return max(_bfs_distances(t.adjacency, d0.index(max(d0))))
+    """Number of edges on a longest path (0 for K1): ``longest_path``'s."""
+    return len(longest_path(t)) - 1
 
 
 def longest_path(t: Tree) -> list[int]:
@@ -461,7 +452,5 @@ def remove_vertex(t: Tree, v: int) -> Forest:
     Survivors are relabeled densely: old label x becomes x if x < v, else
     x - 1. Deleting the single vertex of K1 yields the empty forest.
     """
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
     g, _ = delete_vertices(t, (v,))
     return Forest(g)

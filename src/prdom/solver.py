@@ -375,22 +375,18 @@ def _brute_two_sets(adj: _Adjacency) -> tuple[int, list[tuple[int, ...]]]:
     return best, out
 
 
-def brute_force(
-    g: Graph, enumerate_all: bool = False
-) -> tuple[int, list[tuple[int, ...]] | None]:
+def brute_force(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     """Exhaustive minimum over every labeling of any graph, n <= 16.
 
     Scans the 2^n possible label-2 sets with the forced cheapest completion
     (``_brute_two_sets``); ``_brute_ternary``, which walks all 3^n labelings
-    and keeps the valid ones, is the literal reference it must match. With
-    ``enumerate_all`` every minimum-weight labeling comes back, as a sorted
-    list of label tuples.
+    and keeps the valid ones, is the literal reference it must match.
+    Returns the number and every minimum-weight labeling, as a sorted list
+    of label tuples.
     """
     adj = g.adjacency
     n = len(adj)
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
     best, found = _brute_two_sets(adj)
-    if not enumerate_all:
-        return best, None
     return best, sorted(found)

@@ -14,9 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, Tree
-from .solver import SizeLimitError, _all_roots, brute_force
-
-OPTIMA_SCAN_MAX_N = 14
+from .solver import _all_roots, brute_force
 
 
 class StabilityReport(NamedTuple):
@@ -65,7 +63,7 @@ def attach_pendant_path(t: Tree, u: int, length: int) -> Tree:
     edges.append((u, n))
     for i in range(length - 1):
         edges.append((n + i, n + i + 1))
-    return Tree(Graph(n + length, edges))
+    return Tree(Graph._from_edges(n + length, edges))
 
 
 class BranchSite(NamedTuple):
@@ -123,13 +121,12 @@ def optima_report(t: Tree) -> OptimaReport:
     """Enumerate every optimum of a small tree and inspect its labels.
 
     The stability hypothesis is the caller's: running this on an unstable
-    tree is allowed and simply reports the violations it finds. Capped at
-    n=14 by the exhaustive enumeration.
+    tree is allowed and simply reports the violations it finds. The
+    enumeration is ``brute_force``'s, so its cap, n <= BRUTE_FORCE_MAX_N,
+    is the scan's: a larger tree raises its SizeLimitError.
     """
-    if t.n > OPTIMA_SCAN_MAX_N:
-        raise SizeLimitError(f"optima scan capped at n={OPTIMA_SCAN_MAX_N}, got {t.n}")
     adj = t.adjacency
-    _, optima = brute_force(t, enumerate_all=True)
+    _, optima = brute_force(t)
     leaves = [v for v in range(t.n) if len(adj[v]) == 1]
     ones: set[int] = set()
     two_leaves: set[int] = set()

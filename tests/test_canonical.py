@@ -84,10 +84,7 @@ def test_form_distinguishes_within_order():
 
 
 def _largest_component(f: Forest) -> int:
-    sizes = [0] * f.ncomponents
-    for c in f.component:
-        sizes[c] += 1
-    return max(sizes, default=0)
+    return max((len(labels) for _, labels in f.component_trees()), default=0)
 
 
 def test_centroids_match_the_definition():

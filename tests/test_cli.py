@@ -826,7 +826,7 @@ def test_brute_force_and_the_optima_sweep_leave_numpy_unloaded():
     script = (
         "import sys\n"
         "from prdom import brute_force, make_spider, optima_structure_sweep\n"
-        "brute_force(make_spider([3] * 5), enumerate_all=True)  # 16 vertices\n"
+        "brute_force(make_spider([3] * 5))  # 16 vertices\n"
         "optima_structure_sweep(12)\n"
         "print('numpy' in sys.modules)\n"
     )

@@ -15,6 +15,7 @@ from prdom import (
     ParseError,
     SizeLimitError,
     Tree,
+    delete_vertices,
     diameter,
     emit_edge_list,
     enumerate_free_trees,
@@ -86,6 +87,16 @@ def test_parse_edge_list_names_the_second_line_of_the_least_repeat(text, message
     with pytest.raises(ParseError) as exc:
         parse_edge_list(text)
     assert str(exc.value) == message
+
+
+def test_parse_edge_list_names_a_repeat_on_the_last_of_many_lines():
+    # the lines are split again only to find the repeat; its line number holds
+    n = 100_000
+    lines = [str(n)] + [f"{i} {i + 1}" for i in range(n - 1)] + [f"{n - 1} {n - 2}"]
+    for text in ("\n".join(lines), "\r\n".join(lines) + "\r\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == f"line {n + 1}: duplicate edge '{n - 1} {n - 2}'"
 
 
 @given(small_graphs(max_n=6), st.data())
@@ -266,6 +277,12 @@ def test_remove_vertex_k1_gives_empty_forest():
     assert f.n == 0 and f.ncomponents == 0
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_remove_vertex_rejects_a_vertex_outside_the_tree(v):
+    with pytest.raises(ValueError, match=rf"^vertex {v} outside 0\.\.2$"):
+        remove_vertex(make_path(3), v)
+
+
 def test_forest_rejects_cycles():
     with pytest.raises(ValueError):
         Forest(Graph(3, [(0, 1), (1, 2), (2, 0)]))
@@ -358,16 +375,47 @@ def _per_vertex_components(g):
     return tuple(comp), cyclic
 
 
+def _component_trees_by_buckets(f):
+    """``component_trees`` as it was built before it sliced the walk: the
+    labels bucketed by per-vertex component id, each bucket's induced tree."""
+    comp, _ = _per_vertex_components(f)
+    buckets = [[] for _ in range(len(set(comp)))]
+    for v, c in enumerate(comp):
+        buckets[c].append(v)
+    return [
+        (Tree(delete_vertices(f, set(range(f.n)) - set(verts))[0]), tuple(verts))
+        for verts in buckets
+    ]
+
+
 def _assert_forest_check_matches(g):
     comp, cyclic = _per_vertex_components(g)
     if cyclic is None:
         f = Forest(g)
-        assert f.component == comp
         assert f.ncomponents == len(set(comp))
+        assert f.component_trees() == _component_trees_by_buckets(f)
     else:
         with pytest.raises(ValueError) as exc:
             Forest(g)
         assert str(exc.value) == f"component containing vertex {cyclic} has a cycle"
+
+
+@pytest.mark.parametrize(
+    ("n", "edges", "labels"),
+    [
+        (0, [], []),
+        (1, [], [(0,)]),
+        (3, [], [(0,), (1,), (2,)]),
+        (6, [(5, 2), (4, 0)], [(0, 4), (1,), (2, 5), (3,)]),
+        # a component's walk visits 6 before 3 and 5: each run is sorted
+        (7, [(6, 3), (3, 5), (1, 6)], [(0,), (1, 3, 5, 6), (2,), (4,)]),
+    ],
+)
+def test_component_trees_cut_the_walk_as_the_buckets_do(n, edges, labels):
+    f = Forest(Graph(n, edges))
+    parts = f.component_trees()
+    assert [got for _, got in parts] == labels
+    assert parts == _component_trees_by_buckets(f)
 
 
 @pytest.mark.parametrize(
@@ -397,8 +445,9 @@ def test_forest_check_matches_the_per_vertex_loop_on_graphs(g):
 def test_forest_check_matches_the_per_vertex_loop_on_forests(f, data):
     _assert_forest_check_matches(f)
     # each extra edge inside a component closes a cycle there
+    comp, _ = _per_vertex_components(f)
     missing = [(u, v) for u in range(f.n) for v in range(u + 1, f.n)
-               if v not in f.adjacency[u] and f.component[u] == f.component[v]]
+               if v not in f.adjacency[u] and comp[u] == comp[v]]
     if missing:
         extra = data.draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
         _assert_forest_check_matches(Graph(f.n, f.edges() + extra))
@@ -453,10 +502,12 @@ def test_tree_and_forest_walk_the_graph_once(cls, monkeypatch):
     monkeypatch.setattr(prdom.graphs, "rooted_order", counting)
     x = cls(Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]))
     assert len(calls) == 1
-    # the solvers and the component ids read the kept walk
+    # the solvers read the kept walk, and the components are cut from it:
+    # only each component's own Tree walks again
     for solve in (prd_number, optimal_assignment, forced_zero_set):
         solve(x)
-    assert len(x.component) == 6 and len(calls) == 1
+    assert len(calls) == 1
+    assert len(x.component_trees()) == 1 and len(calls) == 2
 
 
 @pytest.mark.parametrize(("g", "tree_message", "forest_message"), NOT_TREES)

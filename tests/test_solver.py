@@ -58,7 +58,7 @@ def test_forest_numbers_add_over_components():
 
 def test_optimal_assignment_p3_unique_optimum():
     assert optimal_assignment(make_path(3)) == (0, 2, 0)
-    _, all_optima = brute_force(make_path(3), enumerate_all=True)
+    _, all_optima = brute_force(make_path(3))
     assert all_optima == [(0, 2, 0)]
 
 
@@ -79,7 +79,7 @@ def test_brute_force_p4():
 
 
 def test_brute_force_k1_enumeration():
-    w, optima = brute_force(make_path(1), enumerate_all=True)
+    w, optima = brute_force(make_path(1))
     assert w == 1
     assert optima == [(1,)]
 
@@ -91,7 +91,7 @@ def test_brute_force_size_cap():
 
 def test_brute_force_accepts_cyclic_graphs():
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    w, optima = brute_force(triangle, enumerate_all=True)
+    w, optima = brute_force(triangle)
     assert w == 2
     assert all(is_valid_prdf(triangle, o) for o in optima)
 
@@ -106,7 +106,7 @@ def test_brute_force_methods_agree_exhaustively():
     for n in range(1, 10):
         for t in enumerate_free_trees(n):
             wt, at = _brute_ternary_optima(t)
-            ws, as_ = brute_force(t, enumerate_all=True)
+            ws, as_ = brute_force(t)
             assert wt == ws
             assert at == as_
 
@@ -114,7 +114,7 @@ def test_brute_force_methods_agree_exhaustively():
 @given(small_graphs(max_n=8))
 @settings(max_examples=150, deadline=None)
 def test_brute_force_methods_agree_on_graphs(g):
-    assert _brute_ternary_optima(g) == brute_force(g, enumerate_all=True)
+    assert _brute_ternary_optima(g) == brute_force(g)
 
 
 def test_dp_matches_brute_force_on_all_small_trees():
@@ -188,7 +188,7 @@ def test_forced_zero_set_examples():
 def test_forced_zero_set_matches_full_enumeration():
     for n in range(1, 13):
         for t in enumerate_free_trees(n):
-            _, optima = brute_force(t, enumerate_all=True)
+            _, optima = brute_force(t)
             always_zero = frozenset(
                 v for v in range(t.n) if all(o[v] == 0 for o in optima)
             )
@@ -257,7 +257,7 @@ def test_all_roots_matches_a_table_per_root(t):
 
 def test_state_table_holds_only_costs_and_brute_force_one_route():
     assert StateTable._fields == ("a", "b", "c", "d")
-    assert list(inspect.signature(brute_force).parameters) == ["g", "enumerate_all"]
+    assert list(inspect.signature(brute_force).parameters) == ["g"]
 
 
 def test_state_table_leaf_base_case():

@@ -148,6 +148,27 @@ def test_attach_pendant_path_labels():
     assert t2.edges() == [(0, 1), (1, 2), (1, 3)]
 
 
+def test_attach_pendant_path_builds_its_trusted_edges_unchecked(monkeypatch):
+    # a validated tree's edges plus fresh labels need no per-edge check: the
+    # trees equal those the validated Graph() route builds
+    cases = [(t, u, k) for n in (1, 2, 5) for t in enumerate_free_trees(n)
+             for u in range(n) for k in (1, 2, 3)]
+    expected = [
+        Tree(Graph(t.n + k, [*t.edges(), (u, t.n), *((t.n + i, t.n + i + 1) for i in range(k - 1))]))
+        for t, u, k in cases
+    ]
+
+    def refuse(*args):
+        raise AssertionError("Graph.__init__ called")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    grown = [attach_pendant_path(t, u, k) for t, u, k in cases]
+    assert grown == expected and all(type(t) is Tree for t in grown)
+    # the fixed patterns take the same unchecked route
+    built = [make_path(4), make_star(3), make_double_star(1, 1), make_spider([2, 1])]
+    assert [(type(t), t.n, t.m) for t in built] == [(Tree, 4, 3)] * 4
+
+
 def test_attach_pendant_path_rejects_bad_arguments():
     with pytest.raises(ValueError):
         attach_pendant_path(make_path(3), 0, 4)
@@ -178,8 +199,11 @@ def test_optima_report_p4_sees_label_one():
 
 
 def test_optima_report_size_cap():
-    with pytest.raises(SizeLimitError):
-        optima_report(make_path(15))
+    # the scan's cap is brute force's: 16 vertices run, 17 raise its error
+    r = optima_report(make_spider([3] * 5))
+    assert r.optima_count == 6 and r.one_vertices == (0, 3, 6, 9, 12, 15)
+    with pytest.raises(SizeLimitError, match="^brute force capped at n=16, got 17$"):
+        optima_report(make_path(17))
 
 
 def test_branch_site_finder():
