@@ -25,7 +25,6 @@ _EXPORTS = {
         "FAMILY_MAX_N",
         "Certificate",
         "RecognitionResult",
-        "Step",
         "check_stable_profile",
         "enumerate_family",
         "grow",

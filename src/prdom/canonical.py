@@ -8,9 +8,10 @@ the order of per-level subtree codes (Aho, Hopcroft and Ullman, 1974). A
 forest is encoded in place, from its walk's parent array alone: the walk
 finds the centroids, reversing the parent links from each walk root down
 to its centroid roots the component there, and each level is ranked over
-all components at once, bottom-up. The walk is in BFS positions, so every
-pass runs over the positions in turn and no label is read: a form does not
-depend on them. Ranking a level pushes each vertex's code up to its
+all components at once, bottom-up. The walk puts each parent before its
+children (BFS positions, or the family closure's construction labels), so
+every pass runs over the positions in turn and no label is read: a form
+does not depend on them. Ranking a level pushes each vertex's code up to its
 parent, in ascending order, so the level above sorts by those lists
 without scanning the adjacency: O(n log n), without recursion or
 relabelling.
@@ -83,10 +84,9 @@ def _parenthesize(table: list[list[int]], code: int) -> bytes:
     return bytes(out)
 
 
-def canonical_forms(x: Forest) -> list[CanonicalForm]:
-    """One relabeling-invariant form per component, in order of each
-    component's smallest vertex: equal forms iff isomorphic components."""
-    walk_parent = x.walk[1]
+def _forms(walk_parent: Sequence[int]) -> list[CanonicalForm]:
+    """``canonical_forms`` from a walk's parent array alone: ``Forest.walk``,
+    or any one tree's array that puts each parent before its children."""
     n = len(walk_parent)
     cents = _centroids(walk_parent)
     # Root each component at its centroid by reversing the walk's parent
@@ -149,6 +149,12 @@ def canonical_forms(x: Forest) -> list[CanonicalForm]:
         halves = sorted(_parenthesize(table, root_code[c]) for c in cs)
         forms.append((b"B" if len(cs) == 2 else b"C") + b"".join(halves))
     return forms
+
+
+def canonical_forms(x: Forest) -> list[CanonicalForm]:
+    """One relabeling-invariant form per component, in order of each
+    component's smallest vertex: equal forms iff isomorphic components."""
+    return _forms(x.walk[1])
 
 
 def canonical_form(t: Tree) -> CanonicalForm:

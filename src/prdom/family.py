@@ -7,7 +7,9 @@ greedily: any pendant 3-path x1-x2-x3 (x1 a leaf, x2 and x3 of degree 2)
 whose anchor x4 is forced-zero may be peeled next, and the input is a
 member exactly when such peels reduce it to the 3-vertex path. It peels the
 input in place, in input labels. An accepted tree comes with a replayable
-build certificate: the tuple of ``Step``s that grows it from P3.
+build certificate: the tuple of anchors that grows it from P3. Step i hangs
+the path n-(n+1)-(n+2), n = 3 + 3i, off its anchor u, so the certificate
+spells the tree's parent array: [-1, 0, 1], then (u, n, n + 1) per step.
 
 Pendant-P3 invariance: hang v3-v2-v1 (labels n, n+1, n+2) off u in T' to
 get T; then FZ(T), the forced-zero set, restricted to T' is FZ(T'), and
@@ -16,8 +18,9 @@ as (0, 2, 0), or (0, 0, 2) when u is 2. The only other useful chain,
 (2, 0, 1), costs 3 and leaves u a 0 with no 2-neighbor in T'; relabelling u
 to 1 gives a labeling of T', so it at best ties an optimum with u at 1 and
 adds the label 0 at u only. So ``recognize`` runs at most one forced-zero
-pass, and every walk from P3 carries FZ(P3) = [0, 2], appending n and n+2
-per step.
+pass, and every tree a walk from P3 builds has the closed form
+FZ = {v : v % 3 != 1}: FZ(P3) = {0, 2}, and each step adds n and n + 2.
+A walk therefore checks an anchor by its label alone.
 
 Deletion lemma: peeling a pendant 3-path off a stable tree T leaves a stable
 tree T'. The chain adds exactly 2 whatever its anchor, so for v other than
@@ -36,15 +39,15 @@ import bisect
 import random
 from typing import NamedTuple
 
-from .canonical import CanonicalForm, canonical_form
-from .graphs import EDGE_LIST_MAX_N, Graph, InvalidStepError, Tree, _number_reader, make_path
+from .canonical import CanonicalForm, _forms
+from .graphs import EDGE_LIST_MAX_N, Graph, InvalidStepError, Tree, _number_reader
 from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
 from .stability import attach_pendant_path
 
 FAMILY_MAX_N = 18
-# parse_certificate refuses more steps than this before it builds any Step:
+# parse_certificate refuses more steps than this before it reads any step:
 # the largest member an edge list may hold. Replay is linear: `prdom verify
-# --certificate` on 10^5 steps takes 3.2 s at 214 MB peak RSS end to end
+# --certificate` on 10^5 steps takes about 2 s at 133 MB peak RSS end to end
 # (2 shared x86-64 cores, Python 3.11)
 CERTIFICATE_MAX_STEPS = (EDGE_LIST_MAX_N - 3) // 3
 
@@ -55,21 +58,9 @@ THIRD_NOT_DEGREE_2 = "third path vertex degree is not 2"
 ANCHOR_NOT_FORCED_ZERO = "anchor is not forced-zero after peeling"
 
 
-class Step(NamedTuple):
-    """One growth step: attach at ``u``, creating labels ``added``.
-
-    ``added`` is (v3, v2, v1): v3 is the new neighbor of u, v1 the new leaf.
-    Labels refer to the tree as it stands when the step applies, so a step
-    that grows an n-vertex tree always has added == (n, n+1, n+2).
-    """
-
-    u: int
-    added: tuple[int, int, int]
-
-
-# a build recipe for a family member: steps applied in order to P3, so a
-# certificate of k steps builds 3 + 3k vertices
-Certificate = tuple[Step, ...]
+# a build recipe for a family member: the anchor of each step, applied in
+# order to P3, so a certificate of k anchors builds 3 + 3k vertices
+Certificate = tuple[int, ...]
 
 
 class RecognitionResult(NamedTuple):
@@ -94,34 +85,29 @@ def grow(t: Tree, u: int) -> Tree:
 def replay_certificate(c: Certificate) -> Tree:
     """Rebuild the tree a certificate describes, re-validating every step.
 
-    Each step must attach at a forced-zero vertex with the expected fresh
-    labels; the forced-zero set is carried, not recomputed. The finished
-    tree is then checked to be deletion-stable, once, by
-    ``_deletion_stable``: by the deletion lemma every intermediate tree is
-    stable when the last one is, and only when it is not does a bisection
-    over the prefix trees, with the same check, find the first failing step.
+    Each anchor must be a label of the tree so far that every optimum
+    forces to 0, which the closed form decides by the label alone. The
+    finished tree is then checked to be deletion-stable, once, by
+    ``_deletion_stable`` on its walk: by the deletion lemma every
+    intermediate tree is stable when the last one is, and only when it is
+    not does a bisection over the prefixes of the certificate's parent
+    array, with the same check, find the first failing step.
     """
-    edges = [(0, 1), (1, 2)]
-    forced = {0, 2}
-    for i, step in enumerate(c):
+    parent = [-1, 0, 1]
+    for i, u in enumerate(c):
         n = 3 + 3 * i
-        if step.added != (n, n + 1, n + 2):
-            raise InvalidStepError(
-                f"step {i}: expected new labels {(n, n + 1, n + 2)}, got {step.added}"
-            )
-        if not (0 <= step.u < n):
-            raise InvalidStepError(f"step {i}: vertex {step.u} outside 0..{n - 1}")
-        if step.u not in forced:
-            raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
-        edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
-        forced.update((n, n + 2))
-    tree = Tree(Graph._from_edges(3 + 3 * len(c), edges))
+        if not (0 <= u < n):
+            raise InvalidStepError(f"step {i}: vertex {u} outside 0..{n - 1}")
+        if u % 3 == 1:
+            raise InvalidStepError(f"step {i}: vertex {u} is not forced to 0 by every optimum")
+        parent += (u, n, n + 1)
+    n = len(parent)
+    tree = Tree(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
     if not _deletion_stable(tree.walk[1]):
 
         def unstable(i: int) -> bool:
-            # the tree after step i: 6 + 3i vertices, the first 5 + 3i edges
-            prefix = Tree(Graph._from_edges(6 + 3 * i, edges[: 5 + 3 * i]))
-            return not _deletion_stable(prefix.walk[1])
+            # the tree after step i: the first 6 + 3i entries
+            return not _deletion_stable(parent[: 6 + 3 * i])
 
         first = bisect.bisect_left(range(len(c)), True, key=unstable)
         raise InvalidStepError(f"step {first}: intermediate tree is not stable")
@@ -129,27 +115,25 @@ def replay_certificate(c: Certificate) -> Tree:
 
 
 def random_certificate(steps: int, rng: random.Random) -> Certificate:
-    """A random walk from P3 that draws each anchor from the carried forced-zero list."""
-    forced = [0, 2]
-    walk = []
-    for n in range(3, 3 + 3 * steps, 3):
-        walk.append(Step(u=rng.choice(forced), added=(n, n + 1, n + 2)))
-        forced += (n, n + 2)
-    return tuple(walk)
+    """A random walk from P3: step i draws its anchor uniformly from the
+    2 + 2i forced-zero labels so far, of which the j-th is (3j + 1) // 2."""
+    return tuple((3 * rng.randrange(2 + 2 * i) + 1) // 2 for i in range(steps))
 
 
 def serialize_certificate(c: Certificate) -> str:
-    """Text form: base line "P3", then one "u: v3 v2 v1" line per step."""
+    """Text form: base line "P3", then one "u: v3 v2 v1" line per step,
+    v3 the new neighbor of u and v1 the new leaf."""
     lines = ["P3"]
-    for step in c:
-        v3, v2, v1 = step.added
-        lines.append(f"{step.u}: {v3} {v2} {v1}")
+    for n, u in zip(range(3, 3 + 3 * len(c), 3), c):
+        lines.append(f"{u}: {n} {n + 1} {n + 2}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
-    """Inverse of serialize_certificate. Labels are ASCII decimal numbers;
-    SizeLimitError above CERTIFICATE_MAX_STEPS step lines."""
+    """Inverse of serialize_certificate. Labels are ASCII decimal numbers,
+    and step i must create exactly n, n + 1 and n + 2, n = 3 + 3i; that is
+    checked once every line has been read. SizeLimitError above
+    CERTIFICATE_MAX_STEPS step lines."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "P3":
         raise InvalidStepError('certificate must start with the base line "P3"')
@@ -158,7 +142,8 @@ def parse_certificate(text: str) -> Certificate:
             f"certificates capped at {CERTIFICATE_MAX_STEPS} steps, got {len(lines) - 1}"
         )
     number = _number_reader(text)
-    steps = []
+    anchors = []
+    wrong_labels = None
     for idx, line in enumerate(lines[1:], start=1):
         head, sep, tail = line.partition(":")
         parts = tail.split()
@@ -169,8 +154,13 @@ def parse_certificate(text: str) -> Certificate:
             added = tuple(number(p) for p in parts)
         except ValueError:
             raise InvalidStepError(f"step line {idx}: non-integer label in {line!r}") from None
-        steps.append(Step(u=u, added=added))
-    return tuple(steps)
+        n = 3 * idx
+        if wrong_labels is None and added != (n, n + 1, n + 2):
+            wrong_labels = f"step {idx - 1}: expected new labels {(n, n + 1, n + 2)}, got {added}"
+        anchors.append(u)
+    if wrong_labels is not None:
+        raise InvalidStepError(wrong_labels)
+    return tuple(anchors)
 
 
 def recognize(t: Tree) -> RecognitionResult:
@@ -241,19 +231,20 @@ def recognize(t: Tree) -> RecognitionResult:
     center = next(v for v in range(t.n) if degree[v] == 2)
     leaf0, leaf2 = (u for u in adj[center] if degree[u])  # in order: adj is sorted
     iso = {center: 1, leaf0: 0, leaf2: 2}
-    steps: list[Step] = []
+    anchors: list[int] = []
     for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):
-        steps.append(Step(u=iso[x4], added=(size, size + 1, size + 2)))
+        anchors.append(iso[x4])
         iso.update({x3: size, x2: size + 1, x1: size + 2})
-    return RecognitionResult(True, tuple(steps), None)
+    return RecognitionResult(True, tuple(anchors), None)
 
 
 def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
     """Breadth-first closure of the construction up to order n.
 
     Levels step by 3 from the base path; each level attaches at every
-    forced-zero vertex of every member and deduplicates by canonical form.
-    Each member carries its sorted forced-zero list from the walk. Returns
+    forced-zero label, v % 3 != 1, of every member and deduplicates by
+    canonical form. A member is its certificate's parent array, which
+    ``_forms`` reads directly, so no candidate becomes a ``Tree``. Returns
     every member of order n, keyed by canonical form in sorted order, with
     the first build certificate the closure finds for it.
     """
@@ -261,21 +252,18 @@ def enumerate_family(n: int) -> dict[CanonicalForm, Certificate]:
         raise ValueError(f"family orders are positive multiples of 3, got {n}")
     if n > FAMILY_MAX_N:
         raise SizeLimitError(f"family enumeration capped at n={FAMILY_MAX_N}, got {n}")
-    base = make_path(3)
-    level: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {
-        canonical_form(base): (base, (), [0, 2])
-    }
+    base = [-1, 0, 1]
+    level: dict[CanonicalForm, tuple[list[int], Certificate]] = {_forms(base)[0]: (base, ())}
     for size in range(3, n, 3):
-        nxt: dict[CanonicalForm, tuple[Tree, Certificate, list[int]]] = {}
+        nxt: dict[CanonicalForm, tuple[list[int], Certificate]] = {}
         for key in sorted(level):
-            tree, cert, forced = level[key]
-            for u in forced:
-                grown = attach_pendant_path(tree, u, 3)
-                grown_key = canonical_form(grown)
-                if grown_key not in nxt:
-                    step = Step(u=u, added=(size, size + 1, size + 2))
-                    grown_forced = forced + [size, size + 2]
-                    nxt[grown_key] = (grown, cert + (step,), grown_forced)
+            parent, cert = level[key]
+            for u in range(size):
+                if u % 3 != 1:
+                    grown = parent + [u, size, size + 1]
+                    (grown_key,) = _forms(grown)
+                    if grown_key not in nxt:
+                        nxt[grown_key] = (grown, cert + (u,))
         level = nxt
     return {k: level[k][1] for k in sorted(level)}
 

@@ -172,3 +172,17 @@ def test_forms_read_the_walk_alone(monkeypatch):
     assert canonical_forms(f) == expected
     # nothing but the walk: no adjacency and no vertex count
     assert canonical_forms(SimpleNamespace(walk=f.walk)) == expected
+
+
+def test_forms_of_a_preorder_parent_array_match_its_tree():
+    # the family closure keys each candidate by _forms of its construction
+    # array, which puts each parent first but is no BFS walk; the generator's
+    # preorder arrays are arrays of that kind, one per free tree
+    from prdom.enumeration import _free_tree_parents, _parents_to_tree
+
+    seen = 0
+    for n in range(1, 15):
+        for parent in _free_tree_parents(n):
+            assert prdom.canonical._forms(parent) == [canonical_form(_parents_to_tree(parent))]
+            seen += 1
+    assert seen == 5447

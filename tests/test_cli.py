@@ -23,7 +23,6 @@ import prdom.graphs
 import prdom.sweeps
 from conftest import NOT_TREES, shuffled_member
 from prdom import (
-    Step,
     Tree,
     canonical_form,
     emit_edge_list,
@@ -398,6 +397,22 @@ def test_verify_certificate_rejects_tampered(tmp_path, monkeypatch, capsys):
     assert "error" in result
 
 
+def test_verify_certificate_names_a_label_fault_before_an_earlier_anchor_fault(
+    tmp_path, monkeypatch, capsys
+):
+    # labels are checked while the file is parsed, anchors on replay: with
+    # both faults, the later wrong labels are the error reported
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("P3\n1: 3 4 5\n0: 6 7 8\n0: 9 9 9\n")
+    code, out, _ = run_cli(["verify", "--certificate", str(cert_path)], "", monkeypatch, capsys)
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "certificate_path": str(cert_path),
+        "valid": False,
+        "error": "step 2: expected new labels (9, 10, 11), got (9, 9, 9)",
+    }
+
+
 @pytest.mark.parametrize(
     ("argv", "flag"),
     [
@@ -511,7 +526,7 @@ def test_verify_property_failure_exit_code(monkeypatch, capsys):
 def test_generate_internal_breach_exit_code(monkeypatch, capsys):
     # a walk that attaches at the base path's centre, which is never forced-zero
     monkeypatch.setattr(
-        prdom.family, "random_certificate", lambda steps, rng: (Step(1, (3, 4, 5)),)
+        prdom.family, "random_certificate", lambda steps, rng: (1,)
     )
     code, _, err = run_cli(
         ["generate", "--steps", "1"], "", monkeypatch, capsys

@@ -15,7 +15,6 @@ from prdom import (
     Graph,
     InvalidStepError,
     SizeLimitError,
-    Step,
     Tree,
     attach_pendant_path,
     canonical_form,
@@ -147,15 +146,30 @@ def test_replay_round_trip():
 
 def test_replay_rejects_tampered_attachment_point():
     # the center of the base path is never forced-zero
-    bad = (Step(u=1, added=(3, 4, 5)),)
     with pytest.raises(InvalidStepError):
-        replay_certificate(bad)
+        replay_certificate((1,))
 
 
 def test_replay_rejects_wrong_labels():
-    bad = (Step(u=0, added=(4, 5, 6)),)
+    # a certificate's labels come only from its text, so parsing refuses them
     with pytest.raises(InvalidStepError):
-        replay_certificate(bad)
+        replay_certificate(parse_certificate("P3\n0: 4 5 6\n"))
+
+
+def test_parse_refuses_labels_a_step_does_not_create():
+    table = [
+        ("P3\n0: 4 5 6\n", "step 0: expected new labels (3, 4, 5), got (4, 5, 6)"),
+        ("P3\n0: 3 4 5\n2: 6 8 7\n", "step 1: expected new labels (6, 7, 8), got (6, 8, 7)"),
+        # the first wrong step is named, whatever follows it
+        ("P3\n0: 3 4 5\n0: 6 7 9\n0: 0 0 0\n", "step 1: expected new labels (6, 7, 8), got (6, 7, 9)"),
+    ]
+    for text, message in table:
+        with pytest.raises(InvalidStepError) as info:
+            parse_certificate(text)
+        assert str(info.value) == message
+    # a line that is no step at all is named first, wherever it comes
+    with pytest.raises(InvalidStepError, match="step line 2: non-integer label"):
+        parse_certificate("P3\n0: 4 5 6\nx: 6 7 8\n")
 
 
 def _replay_per_step(c):
@@ -163,17 +177,13 @@ def _replay_per_step(c):
     reference for the single check at the end."""
     edges = [(0, 1), (1, 2)]
     forced = {0, 2}
-    for i, step in enumerate(c):
+    for i, u in enumerate(c):
         n = 3 + 3 * i
-        if step.added != (n, n + 1, n + 2):
-            raise InvalidStepError(
-                f"step {i}: expected new labels {(n, n + 1, n + 2)}, got {step.added}"
-            )
-        if not (0 <= step.u < n):
-            raise InvalidStepError(f"step {i}: vertex {step.u} outside 0..{n - 1}")
-        if step.u not in forced:
-            raise InvalidStepError(f"step {i}: vertex {step.u} is not forced to 0 by every optimum")
-        edges += ((step.u, n), (n, n + 1), (n + 1, n + 2))
+        if not (0 <= u < n):
+            raise InvalidStepError(f"step {i}: vertex {u} outside 0..{n - 1}")
+        if u not in forced:
+            raise InvalidStepError(f"step {i}: vertex {u} is not forced to 0 by every optimum")
+        edges += ((u, n), (n, n + 1), (n + 1, n + 2))
         forced.update((n, n + 2))
         if not family._deletion_stable(Tree(Graph(n + 3, edges)).walk[1]):
             raise InvalidStepError(f"step {i}: intermediate tree is not stable")
@@ -327,7 +337,7 @@ def _recognize_per_peel(t):
     size = 3
     for (x1, x2, x3), x4, old_to_new in reversed(peels):
         new_iso = {old: iso[new] for old, new in enumerate(old_to_new) if new >= 0}
-        steps.append(Step(u=iso[old_to_new[x4]], added=(size, size + 1, size + 2)))
+        steps.append(iso[old_to_new[x4]])
         new_iso.update({x3: size, x2: size + 1, x1: size + 2})
         iso = new_iso
         size += 3
@@ -455,8 +465,7 @@ def _family_closure_oracle(n):
             tree, cert = level[key]
             for u in sorted(forced_zero_set(tree)):
                 grown = attach_pendant_path(tree, u, 3)
-                step = Step(u=u, added=(size, size + 1, size + 2))
-                nxt.setdefault(canonical_form(grown), (grown, cert + (step,)))
+                nxt.setdefault(canonical_form(grown), (grown, cert + (u,)))
         level = nxt
     return {k: level[k][1] for k in sorted(level)}
 
@@ -466,6 +475,32 @@ def test_enumerate_family_matches_the_recomputing_closure():
         fam, oracle = enumerate_family(n), _family_closure_oracle(n)
         assert fam == oracle
         assert list(fam.items()) == list(oracle.items())
+
+
+def _closed_form(n):
+    return {v for v in range(n) if v % 3 != 1}
+
+
+def test_every_member_is_forced_zero_exactly_off_the_path_centres():
+    # the invariance lemma's closed form, which replay and the closure
+    # check anchors against, is every tree's own forced-zero set
+    for n in range(3, 19, 3):
+        for cert in enumerate_family(n).values():
+            assert forced_zero_set(replay_certificate(cert)) == _closed_form(n)
+    for steps in (0, 1, 2, 10, 50, 300):
+        for seed in range(3):
+            t = replay_certificate(random_certificate(steps, random.Random(seed)))
+            assert forced_zero_set(t) == _closed_form(t.n)
+
+
+def test_the_closure_builds_no_tree_per_candidate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closure built a tree or a forced-zero set")
+
+    for helper in ("Tree", "attach_pendant_path", "forced_zero_set", "canonical_form"):
+        if hasattr(family, helper):
+            monkeypatch.setattr(family, helper, forbidden)
+    assert len(enumerate_family(18)) == 49
 
 
 @pytest.fixture

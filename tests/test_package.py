@@ -83,10 +83,11 @@ def test_records_are_read_only_named_tuples():
         assert isinstance(record, tuple)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    # an optimum is its labels and a certificate its steps: plain tuples
+    # an optimum is its labels and a certificate its anchors: plain tuples
     assert type(optimal_assignment(t)) is tuple
     assert type(prdom.family.random_certificate(2, random.Random(0))) is tuple
-    assert prdom.Certificate == tuple[prdom.Step, ...]
+    assert prdom.Certificate == tuple[int, ...]
+    assert "Step" not in prdom.__all__
 
 
 def test_the_cli_and_the_sweeps_leave_dataclasses_unloaded():

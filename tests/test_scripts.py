@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,15 @@ def test_record_compares_two_sides_that_agree(name):
             assert min(entry["wall_s_runs"]) <= entry["wall_s"] <= max(entry["wall_s_runs"])
             assert len(entry["report_sha256"]) == 1
         assert parent["report_sha256"] == change["report_sha256"], command
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("steps", [0, 1, 60, 1000])
+def test_the_bench_walks_are_family_certificates(bench, seed, steps):
+    """The bench draws its members with its own copy of the walk, which must
+    stay the family's: its anchors are random_certificate's, step for step."""
+    from prdom.family import random_certificate
+
+    walk = bench.random_walk(steps, random.Random(seed))
+    assert [n for _, n in walk] == list(range(3, 3 + 3 * steps, 3))
+    assert tuple(u for u, _ in walk) == random_certificate(steps, random.Random(seed))
