@@ -8,10 +8,13 @@ construction walks or the full family at one order, as graph6 lines), and
 
 Reports are stable JSON: identical inputs and flags reproduce the payload
 byte for byte, with wall-clock timing carried in a separate key that the
-determinism contract excludes.
+determinism contract excludes. A command only computes; ``main`` starts
+the one clock just before it runs and writes its report, or ``generate``'s
+graph6 lines, through the one writer.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 unparseable or unusable
-input, 3 size limit, 4 internal invariant breach or any other error.
+input (a closed standard stream included), 3 size limit, 4 internal
+invariant breach or any other error.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ def _read_text(path: str | None) -> str:
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         if isinstance(sys.stdin, io.TextIOWrapper):
             # UTF-8 mode and the C locale read stdin with surrogateescape,
             # which would pass undecodable bytes on to the parsers as text
@@ -75,11 +80,10 @@ def _parse_input(args: argparse.Namespace, cls: type[Forest]) -> Forest:
         from .graph6 import parse_graph6
 
         lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ParseError("empty graph6 input")
         if len(lines) > 1:
             raise ParseError("expected a single graph6 line")
-        g = parse_graph6(lines[0].strip())
+        # str.strip also drops Unicode spaces, which parse_graph6's bytes strip keeps
+        g = parse_graph6(lines[0].strip() if lines else "")
     else:
         g = parse_edge_list(text)
     try:
@@ -92,16 +96,18 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
 
-def _report(args: argparse.Namespace, command: str, options: dict, input_info: dict | None,
-            result: dict, started: float) -> None:
+def _report(args: argparse.Namespace, options: dict, parsed: Forest | None, result: dict,
+            started: float) -> None:
     payload = {
-        "command": command,
+        "command": args.command,
         "options": options,
-        "input": input_info,
+        "input": None if parsed is None else _input_info(parsed),
         "result": result,
         "version": __version__,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
@@ -123,10 +129,12 @@ def _input_info(x: Forest) -> dict:
     }
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+_Outcome = tuple[dict, Forest | None, dict, int]  # options, parsed graph, result, exit code
+
+
+def _cmd_solve(args: argparse.Namespace) -> _Outcome:
     from .solver import forced_zero_set, optimal_assignment, prd_number
 
-    started = time.perf_counter()
     forest = _parse_input(args, Forest)
     # a witness's weight is the number, so it needs no second DP table
     witness = optimal_assignment(forest) if args.witness else None
@@ -135,38 +143,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result["witness"] = list(witness)
     if args.wset:
         result["forced_zero"] = sorted(forced_zero_set(forest))
-    _report(
-        args,
-        "solve",
-        {"format": args.format, "witness": args.witness, "wset": args.wset},
-        _input_info(forest),
-        result,
-        started,
-    )
-    return EXIT_OK
+    options = {"format": args.format, "witness": args.witness, "wset": args.wset}
+    return options, forest, result, EXIT_OK
 
 
-def _cmd_stable(args: argparse.Namespace) -> int:
+def _cmd_stable(args: argparse.Namespace) -> _Outcome:
     from .stability import stability_report
 
-    started = time.perf_counter()
     tree = _parse_input(args, Tree)
     report = stability_report(tree)
-    _report(
-        args,
-        "stable",
-        {"format": args.format},
-        _input_info(tree),
-        {"base": report.base, "deltas": list(report.deltas), "stable": report.stable},
-        started,
-    )
-    return EXIT_OK
+    result = {"base": report.base, "deltas": list(report.deltas), "stable": report.stable}
+    return {"format": args.format}, tree, result, EXIT_OK
 
 
-def _cmd_recognize(args: argparse.Namespace) -> int:
+def _cmd_recognize(args: argparse.Namespace) -> _Outcome:
     from .family import recognize, serialize_certificate
 
-    started = time.perf_counter()
     tree = _parse_input(args, Tree)
     outcome = recognize(tree)
     result = {
@@ -183,18 +175,10 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             result["certificate_path"] = args.emit_certificate
         else:
             result["certificate_path"] = None
-    _report(
-        args,
-        "recognize",
-        {"format": args.format},
-        _input_info(tree),
-        result,
-        started,
-    )
-    return EXIT_OK
+    return {"format": args.format}, tree, result, EXIT_OK
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> str:
     from .family import enumerate_family, random_certificate, replay_certificate
     from .graph6 import GRAPH6_MAX_N, emit_graph6, graph6_length
 
@@ -220,15 +204,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
         certificates = [random_certificate(args.steps, random.Random(args.seed))]
     trees = (replay_certificate(c) for c in certificates)
-    _write_output(args, "".join(emit_graph6(t).decode("ascii") + "\n" for t in trees))
-    return EXIT_OK
+    return "".join(emit_graph6(t).decode("ascii") + "\n" for t in trees)
 
 
-def _cmd_verify_certificate(args: argparse.Namespace) -> int:
+def _cmd_verify_certificate(args: argparse.Namespace) -> _Outcome:
     from .canonical import canonical_form
     from .family import parse_certificate, replay_certificate
 
-    started = time.perf_counter()
     text = _read_text(args.certificate)
     options = {"certificate": True, "format": args.format}
     result: dict = {"certificate_path": args.certificate}
@@ -238,18 +220,16 @@ def _cmd_verify_certificate(args: argparse.Namespace) -> int:
         rebuilt = replay_certificate(cert)
     except InvalidStepError as exc:
         result.update({"valid": False, "error": str(exc)})
-        _report(args, "verify", options, None, result, started)
-        return EXIT_PROPERTY_FAILURE
+        return options, None, result, EXIT_PROPERTY_FAILURE
     result.update({"valid": True, "steps": len(cert), "order": rebuilt.n})
     if args.input is not None:
         tree = _parse_input(args, Tree)
         matches = canonical_form(tree) == canonical_form(rebuilt)
         result["matches_input"] = matches
-    _report(args, "verify", options, None, result, started)
-    return EXIT_OK if matches in (None, True) else EXIT_PROPERTY_FAILURE
+    return options, None, result, EXIT_OK if matches in (None, True) else EXIT_PROPERTY_FAILURE
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Outcome:
     if args.certificate is not None:
         return _cmd_verify_certificate(args)
     if args.max_n < 3:
@@ -263,7 +243,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         optima_structure_sweep,
     )
 
-    started = time.perf_counter()
     suites = ("theorem", "lemmas", "observation") if args.suite == "all" else (args.suite,)
     sweeps = {
         "theorem": (CHARACTERIZATION_MAX_N, characterization_sweep),
@@ -278,15 +257,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_n = min(args.max_n, cap) if args.suite == "all" else args.max_n
         results[suite] = sweep(max_n)
     all_passed = all(r["passed"] for r in results.values())
-    _report(
-        args,
-        "verify",
-        {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
-        None,
-        {"suites": results, "passed": all_passed},
-        started,
-    )
-    return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
+    options = {"suite": args.suite, "max_n": args.max_n, "seed": args.seed}
+    code = EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
+    return options, None, {"suites": results, "passed": all_passed}, code
 
 
 def _add_io_arguments(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -366,7 +339,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         _check_paths(args)
-        return args.func(args)
+        started = time.perf_counter()
+        outcome = args.func(args)
+        if isinstance(outcome, str):  # generate's graph6 lines
+            _write_output(args, outcome)
+            return EXIT_OK
+        options, parsed, result, code = outcome
+        _report(args, options, parsed, result, started)
+        return code
     except ParseError as exc:
         print(f"prdom: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -86,6 +86,19 @@ def test_solve_graph6_input(monkeypatch, capsys):
     assert json.loads(out)["result"]["number"] == 2
 
 
+@pytest.mark.parametrize("stdin_text", ["", "  \n\t\n"])
+def test_graph6_stdin_without_a_line_is_a_parse_error(stdin_text, monkeypatch, capsys):
+    code, out, err = run_cli(["solve", "--format", "graph6"], stdin_text, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "prdom: parse error: empty graph6 input\n")
+
+
+def test_graph6_line_may_carry_unicode_spaces(monkeypatch, capsys):
+    # the line is stripped as text, so the spaces a bytes strip keeps go too
+    code, out, _ = run_cli(["solve", "--format", "graph6"], "\u2003Bg\u00a0\n", monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["number"] == 2
+
+
 # A spider with legs 1, 2, 3 (one centroid), a star K1,3 joined at its centre
 # to the end of a P4 (two centroids, unequal halves), P8 and three isolated
 # vertices, with labels and edge order shuffled.
@@ -211,6 +224,69 @@ def test_unexpected_error_exit_code(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err == "prdom: internal error: RuntimeError: boom second line\n"
+
+
+REPORT_KEYS = {"command", "options", "input", "result", "version", "timing"}
+
+
+def spy_writes(monkeypatch):
+    """The texts handed to cli._write_output, which still writes them."""
+    writes = []
+    write = cli._write_output
+
+    def spy(args, text):
+        writes.append(text)
+        write(args, text)
+
+    monkeypatch.setattr(cli, "_write_output", spy)
+    return writes
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, expected",
+    [
+        (["solve", "--witness", "--wset"], P3_EDGELIST, 0),
+        (["stable"], P6_EDGELIST, 0),
+        (["recognize"], P6_EDGELIST, 0),
+        (["generate", "--steps", "2"], "", 0),
+        (["verify", "--suite", "theorem", "--max-n", "6"], "", 0),
+        (["verify", "--certificate", "valid.txt"], "", 0),
+        (["verify", "--certificate", "invalid.txt"], "", 1),
+    ],
+)
+def test_main_writes_each_run_once(argv, stdin_text, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "valid.txt").write_text("P3\n0: 3 4 5\n")
+    (tmp_path / "invalid.txt").write_text("P3\n1: 3 4 5\n")  # base center is never forced-zero
+    writes = spy_writes(monkeypatch)
+    code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
+    assert (code, err, writes) == (expected, "", [out])
+    if argv[0] != "generate":
+        report = json.loads(out)
+        assert set(report) == REPORT_KEYS
+        assert report["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, expected",
+    [
+        (["solve"], "3\n0 x\n", 2),
+        (["stable"], "5\n0 1\n3 4\n", 2),
+        (["verify", "--certificate", "valid.txt", "--input", "forest.txt"], "", 2),
+        (["verify", "--max-n", "2"], "", 2),
+        (["generate", "--all", "4"], "", 2),
+        (["solve"], "100000000000\n", 3),
+        (["verify", "--suite", "theorem", "--max-n", "16"], "", 3),
+        (["generate", "--steps", "100000"], "", 3),
+    ],
+)
+def test_main_writes_nothing_on_a_refusal(argv, stdin_text, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "valid.txt").write_text("P3\n")
+    (tmp_path / "forest.txt").write_text("5\n0 1\n3 4\n")
+    writes = spy_writes(monkeypatch)
+    code, out, _ = run_cli(argv, stdin_text, monkeypatch, capsys)
+    assert (code, out, writes) == (expected, "", [])
 
 
 def test_generate_zero_steps_is_base_path(monkeypatch, capsys):
@@ -758,6 +834,31 @@ def test_undecodable_stdin_subprocess():
     assert proc.stderr.decode() == (
         "prdom: parse error: input is not valid UTF-8: cannot decode byte 0xff\n"
     )
+
+
+def test_a_closed_stdin_is_unusable_input(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    code = cli.main(["solve"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "prdom: standard input is closed\n")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["generate"]])
+def test_a_closed_stdout_is_unusable_output(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P3_EDGELIST))
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(argv)
+    assert (code, capsys.readouterr().err) == (2, "prdom: standard output is closed\n")
+
+
+def test_a_closed_stdin_subprocess():
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m prdom.cli solve <&-', sys.executable],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "prdom: standard input is closed\n")
 
 
 def test_output_file(tmp_path, monkeypatch, capsys):
