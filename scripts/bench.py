@@ -19,10 +19,11 @@ directory, which is every child's working directory: commands name inputs
 by relative file names, so no report holds the temporary path. Each run is
 one ``python -m prdom.cli`` child with ``PYTHONPATH`` at a side's source;
 its wall time is measured around it and its peak RSS read from its
-``os.wait4`` record. The sides take turns run by run, so a drift in the
-machine's speed hits each alike. The medians per side go to ``--out`` with
-the machine, the Python version, the workload and a digest of each report
-without its ``timing`` key, so that sides can be seen to agree. The record
+``os.wait4`` record. The sides take turns run by run, and their order is
+reversed every round, so a drift in the machine's speed hits each alike.
+The medians per side go to ``--out`` with the machine, the Python version,
+the workload and a digest of each report without its ``timing`` key, so
+that sides can be seen to agree. The record
 notes ``PYTHONDONTWRITEBYTECODE``, since with it set every child compiles
 the modules it imports instead of reading cached bytecode. Stdlib only.
 """
@@ -313,11 +314,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix=f"bench_{args.record}_") as tmp:
         work = Path(tmp)
         commands, descriptions, digests = write_inputs(args.record, work)
+        order = list(sides.items())
         for key, command in commands.items():
             runs: dict[str, list[tuple[float, float, str]]] = {label: [] for label in sides}
             for _ in range(spec.repeat):
-                for label, src in sides.items():
+                for label, src in order:
                     runs[label].append(run_child(src, command, work))
+                order.reverse()  # the other side goes first next round
             for label, samples in runs.items():
                 results[label][key] = entry = summary(samples)
                 print(f"{label} {key}: {entry}", file=sys.stderr)

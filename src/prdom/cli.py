@@ -79,11 +79,12 @@ def _parse_input(args: argparse.Namespace, cls: type[Forest]) -> Forest:
     if args.format == "graph6":
         from .graph6 import parse_graph6
 
-        lines = [line for line in text.splitlines() if line.strip()]
+        # a line is blank by parse_graph6's own rule, a bytes strip of ASCII
+        # whitespace, and goes to it as read, so the CLI refuses what it refuses
+        lines = [line for line in text.split("\n") if line.encode().strip()]
         if len(lines) > 1:
             raise ParseError("expected a single graph6 line")
-        # str.strip also drops Unicode spaces, which parse_graph6's bytes strip keeps
-        g = parse_graph6(lines[0].strip() if lines else "")
+        g = parse_graph6(lines[0] if lines else "")
     else:
         g = parse_edge_list(text)
     try:

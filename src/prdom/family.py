@@ -2,11 +2,7 @@
 
 Members are exactly the trees reachable from the 3-vertex path by repeatedly
 hanging a pendant 3-vertex path off a vertex that every minimum-weight
-labeling forces to 0 (``grow``). The recognizer inverts the construction
-greedily: any pendant 3-path x1-x2-x3 (x1 a leaf, x2 and x3 of degree 2)
-whose anchor x4 is forced-zero may be peeled next, and the input is a
-member exactly when such peels reduce it to the 3-vertex path. It peels the
-input in place, in input labels. An accepted tree comes with a replayable
+labeling forces to 0 (``grow``). An accepted tree comes with a replayable
 build certificate: the tuple of anchors that grows it from P3. Step i hangs
 the path n-(n+1)-(n+2), n = 3 + 3i, off its anchor u, so the certificate
 spells the tree's parent array: [-1, 0, 1], then (u, n, n + 1) per step.
@@ -17,20 +13,30 @@ FZ(T) = FZ(T') + {n, n+2} when u is in FZ(T'). Sketch: the chain costs 2,
 as (0, 2, 0), or (0, 0, 2) when u is 2. The only other useful chain,
 (2, 0, 1), costs 3 and leaves u a 0 with no 2-neighbor in T'; relabelling u
 to 1 gives a labeling of T', so it at best ties an optimum with u at 1 and
-adds the label 0 at u only. So ``recognize`` runs at most one forced-zero
-pass, and every tree a walk from P3 builds has the closed form
-FZ = {v : v % 3 != 1}: FZ(P3) = {0, 2}, and each step adds n and n + 2.
-A walk therefore checks an anchor by its label alone.
+adds the label 0 at u only. So every tree a walk from P3 builds has the
+closed form FZ = {v : v % 3 != 1}: FZ(P3) = {0, 2}, and each step adds n
+and n + 2. A walk therefore checks an anchor by its label alone.
+
+Block partition: a tree is a member exactly when its vertices split into
+blocks, paths x-c-y whose middle c has degree 2 in the tree: a perfect
+matching with each edge subdivided, so the split is unique when it
+exists. A walk builds blocks: labels 3j, 3j + 1, 3j + 2 form one, and each
+step hangs a block by an end off an anchor u % 3 != 1, an end. Conversely,
+contract the blocks to a tree and take a leaf block B. Middles have no
+neighbors outside their blocks, so B hangs by an end off an end u of the
+rest, which is a member by induction; its walk's blocks are its blocks by
+uniqueness, so u is forced-zero by the closed form and hanging B is a
+legal step. ``recognize`` therefore reads no labeling: it finds the blocks.
 
 Deletion lemma: peeling a pendant 3-path off a stable tree T leaves a stable
 tree T'. The chain adds exactly 2 whatever its anchor, so for v other than
 the anchor x4, number(T' - v) = number(T - v) - 2 = number(T'); and T - x4
 is T' - x4 beside a separate P3, whose number is 2. With the paper's
-theorem (stable exactly when a member) and the invariance lemma this makes
-the greedy peel complete, and it lets ``replay_certificate`` check
-stability once, on the finished tree: once a prefix tree is unstable, every
-later one is too. That check is ``solver._deletion_stable``, the sweeps'
-yes-or-no test, which stops at the first deletion that changes the number.
+theorem (stable exactly when a member) this lets ``replay_certificate``
+check stability once, on the finished tree: once a prefix tree is
+unstable, every later one is too. That check is ``solver._deletion_stable``,
+the sweeps' yes-or-no test, which stops at the first deletion that changes
+the number.
 """
 
 from __future__ import annotations
@@ -54,8 +60,7 @@ CERTIFICATE_MAX_STEPS = (EDGE_LIST_MAX_N - 3) // 3
 # the reasons ``recognize`` gives for a rejection
 ORDER_NOT_MULTIPLE_OF_3 = "order not a multiple of 3"
 SECOND_NOT_DEGREE_2 = "second path vertex degree is not 2"
-THIRD_NOT_DEGREE_2 = "third path vertex degree is not 2"
-ANCHOR_NOT_FORCED_ZERO = "anchor is not forced-zero after peeling"
+LEFT_WITHOUT_BLOCK = "a vertex is left with no block"
 
 
 # a build recipe for a family member: the anchor of each step, applied in
@@ -163,78 +168,77 @@ def parse_certificate(text: str) -> Certificate:
     return tuple(anchors)
 
 
+def _block_middles(t: Tree) -> list[int] | str:
+    """The middle of each vertex's block (a middle is its own), or why t
+    has none. A leaf x of the part not yet covered can only be an end, so
+    its block is x, its one uncovered neighbor c, of degree 2 in the tree,
+    and c's other neighbor y. Covering them changes only the uncovered
+    degrees of y's other neighbors: at 1 a vertex is a new leaf, at 0 it
+    is left with no block. That degree and an uncovered-neighbor label sum
+    per vertex give c and y in O(1), so this is O(n). The worklist is a
+    stack of the tree's leaves in ascending order, then each new leaf; the
+    first failure met is the reason. Popped last in, first out, it keeps y
+    uncovered: whatever is pushed after a new leaf lies in other parts, so
+    its part is cut no more before its pop. If a cover at y cut a part down
+    to x and c, x was then a leaf of the tree, and c, pushed after it, is
+    popped first and fails the degree test.
+    """
+    if t.n % 3 != 0:
+        return ORDER_NOT_MULTIPLE_OF_3
+    adj = t.adjacency
+    free = list(map(len, adj))  # uncovered neighbors per vertex
+    label_sum = list(map(sum, adj))  # and the sum of their labels
+    middle = [-1] * t.n
+    work = [v for v in range(t.n) if free[v] == 1]
+    while work:
+        x = work.pop()
+        if middle[x] >= 0:
+            continue
+        c = label_sum[x]
+        if len(adj[c]) != 2:
+            return SECOND_NOT_DEGREE_2
+        y = label_sum[c] - x  # uncovered: see above
+        middle[x] = middle[c] = middle[y] = c
+        for w in adj[y]:
+            if middle[w] < 0:
+                free[w] -= 1
+                label_sum[w] -= y
+                if free[w] == 1:
+                    work.append(w)
+                elif free[w] == 0:
+                    return LEFT_WITHOUT_BLOCK
+    return middle
+
+
 def recognize(t: Tree) -> RecognitionResult:
     """Decide family membership, with a build certificate on acceptance.
 
-    Greedy peeling: reject orders not divisible by 3 up front (no member
-    has one), then peel pendant 3-paths x1-x2-x3 off forced-zero anchors x4
-    until the 3-vertex base is left. One forced-zero pass on the input
-    serves every peel (each peeled tree's set is the input's, restricted),
-    and it runs only when a peel first reaches an anchor check, so a tree
-    rejected by its order or by a degree pays for no rerooting pass.
-    The input's adjacency is read, never copied: a degree and a
-    neighbor-label sum per vertex give the other neighbor of any degree-2
-    vertex. A worklist holds the leaves that may start a peel; a peel
-    changes only x4's degree, so when that falls to 2 or less only the
-    leaves within distance 2 of x4 are queued again. Recognition is O(n).
-    When the worklist runs dry first, the lowest remaining leaf names the
-    reason.
+    A tree is a member exactly when ``_block_middles`` finds its blocks,
+    so recognition is O(n), in place, in input labels, with no labeling
+    DP. On acceptance one breadth-first pass over block ends writes the
+    certificate. Vertex 0's block takes labels 0, 1, 2 (lower end, middle,
+    higher end). Each block first reached from a labelled end u through
+    its end w takes n, n + 1, n + 2 (w, its middle, its other end), and
+    its anchor is u's label: an end, so forced-zero by the closed form.
     """
-    if t.n % 3 != 0:
-        return RecognitionResult(False, None, ORDER_NOT_MULTIPLE_OF_3)
-    forced: frozenset[int] | None = None
+    middle = _block_middles(t)
+    if isinstance(middle, str):
+        return RecognitionResult(False, None, middle)
     adj = t.adjacency
-    degree = list(map(len, adj))
-    label_sum = list(map(sum, adj))
-    work = [v for v in range(t.n) if degree[v] == 1]
-
-    def blocked(x1: int) -> str | None:
-        """Why the pendant path that leaf x1 ends cannot be peeled, or None."""
-        nonlocal forced
-        x2 = label_sum[x1]
-        if degree[x2] != 2:
-            return SECOND_NOT_DEGREE_2
-        x3 = label_sum[x2] - x1  # the other neighbor
-        if degree[x3] != 2:
-            return THIRD_NOT_DEGREE_2
-        if forced is None:
-            forced = forced_zero_set(t)
-        if label_sum[x3] - x2 not in forced:
-            return ANCHOR_NOT_FORCED_ZERO
-        return None
-
-    peels: list[tuple[int, int, int, int]] = []
-    goal = t.n // 3 - 1
-    while work and len(peels) < goal:
-        x1 = work.pop()
-        if degree[x1] != 1 or blocked(x1):
-            continue
-        x2 = label_sum[x1]
-        x3 = label_sum[x2] - x1
-        x4 = label_sum[x3] - x2
-        peels.append((x1, x2, x3, x4))
-        degree[x1] = degree[x2] = degree[x3] = 0
-        degree[x4] -= 1
-        label_sum[x4] -= x3
-        if degree[x4] <= 2:
-            if degree[x4] == 1:
-                work.append(x4)
-            for u in adj[x4]:
-                if degree[u] == 2:
-                    u = label_sum[u] - x4  # the far end
-                if degree[u] == 1:
-                    work.append(u)
-    if len(peels) < goal:
-        lowest = next(v for v in range(t.n) if degree[v] == 1)
-        return RecognitionResult(False, None, blocked(lowest))
-    # iso maps input labels to construction labels
-    center = next(v for v in range(t.n) if degree[v] == 2)
-    leaf0, leaf2 = (u for u in adj[center] if degree[u])  # in order: adj is sorted
-    iso = {center: 1, leaf0: 0, leaf2: 2}
+    label = [-1] * t.n
+    a, b = adj[middle[0]]  # in order: adj is sorted
+    label[a], label[middle[0]], label[b] = 0, 1, 2
+    ends = [a, b]
     anchors: list[int] = []
-    for size, (x1, x2, x3, x4) in zip(range(3, t.n, 3), reversed(peels)):
-        anchors.append(iso[x4])
-        iso.update({x3: size, x2: size + 1, x1: size + 2})
+    for u in ends:  # ends grows as blocks are placed: a breadth-first pass
+        for w in adj[u]:
+            if label[w] < 0:  # an end of a block not yet placed
+                c = middle[w]
+                y = sum(adj[c]) - w
+                n = 3 + 3 * len(anchors)
+                anchors.append(label[u])
+                label[w], label[c], label[y] = n, n + 1, n + 2
+                ends += (w, y)
     return RecognitionResult(True, tuple(anchors), None)
 
 

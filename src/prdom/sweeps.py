@@ -1,9 +1,10 @@
 """Exhaustive verification sweeps over all small trees.
 
 Three suites, shared by the CLI ``verify`` command and the acceptance
-tests. The characterization sweep compares three independent routes to
-"this tree is stable": the definitional deletion check, the peeling
-recognizer, and membership in the breadth-first closure of the
+tests. The characterization sweep compares three routes to "this tree is
+stable" that share no code: the definitional deletion check on the DP's
+tables, the recognizer, which finds the tree's block partition and reads
+no labeling at all, and membership in the breadth-first closure of the
 construction. The attachment sweep measures the weight delta of each
 pendant attachment, and the optima sweep inspects the structure of all
 minimum-weight labelings of every stable tree.
@@ -24,13 +25,7 @@ import random
 
 from .canonical import canonical_form
 from .enumeration import _free_tree_parents, _parents_to_tree, random_labeled_tree
-from .family import (
-    SECOND_NOT_DEGREE_2,
-    THIRD_NOT_DEGREE_2,
-    check_stable_profile,
-    enumerate_family,
-    recognize,
-)
+from .family import SECOND_NOT_DEGREE_2, check_stable_profile, enumerate_family, recognize
 from .graphs import Tree
 from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
 from .stability import attach_pendant_path, optima_report
@@ -40,8 +35,6 @@ ATTACHMENT_MAX_N = 15
 ATTACHMENT_RANDOM_PAIRS = 200
 ATTACHMENT_RANDOM_MAX_N = 60
 OPTIMA_SWEEP_MAX_N = 12
-
-_DEGREE_REASONS = (SECOND_NOT_DEGREE_2, THIRD_NOT_DEGREE_2)
 
 
 def characterization_sweep(max_n: int) -> dict:
@@ -92,7 +85,7 @@ def characterization_sweep(max_n: int) -> dict:
                 stable_count += 1
                 if not check_stable_profile(t):
                     profile_violations.append({"n": n, "edges": t.edges(), "number": prd_number(t)})
-                if not rec.accepted and rec.reason in _DEGREE_REASONS:
+                if rec.reason == SECOND_NOT_DEGREE_2:
                     degree_rejections.append({"n": n, "edges": t.edges(), "reason": rec.reason})
         stable_per_order[str(n)] = stable_count
     return {

@@ -92,9 +92,26 @@ def test_graph6_stdin_without_a_line_is_a_parse_error(stdin_text, monkeypatch, c
     assert (code, out, err) == (2, "", "prdom: parse error: empty graph6 input\n")
 
 
-def test_graph6_line_may_carry_unicode_spaces(monkeypatch, capsys):
-    # the line is stripped as text, so the spaces a bytes strip keeps go too
-    code, out, _ = run_cli(["solve", "--format", "graph6"], "\u2003Bg\u00a0\n", monkeypatch, capsys)
+@pytest.mark.parametrize(
+    ("stdin_text", "message"),
+    [
+        ("\u2003Bg\u00a0", "non-ASCII character '\\u2003' at offset 0"),
+        ("Bg\x1f", "byte 31 at offset 2 outside graph6 range 63..126"),
+    ],
+    ids=["unicode-spaces", "unit-separator"],
+)
+def test_graph6_line_is_stripped_only_as_parse_graph6_strips_it(stdin_text, message, monkeypatch, capsys):
+    # the CLI refuses what parse_graph6 refuses: it strips ASCII whitespace only
+    with pytest.raises(prdom.graphs.ParseError) as info:
+        parse_graph6(stdin_text)
+    assert str(info.value) == message
+    code, out, err = run_cli(["solve", "--format", "graph6"], stdin_text + "\n", monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"prdom: parse error: {message}\n")
+
+
+@pytest.mark.parametrize("stdin_text", ["Bg", "Bg\n", "Bg\r\n", " Bg \n\n"])
+def test_graph6_line_may_end_in_ascii_whitespace(stdin_text, monkeypatch, capsys):
+    code, out, _ = run_cli(["solve", "--format", "graph6"], stdin_text, monkeypatch, capsys)
     assert code == 0
     assert json.loads(out)["result"]["number"] == 2
 

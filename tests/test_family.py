@@ -119,8 +119,10 @@ def test_recognize_names_the_failing_path_vertex():
     fork = Tree(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]))
     table = [
         (make_star(5), "second path vertex degree is not 2"),
-        (make_double_star(1, 3), "third path vertex degree is not 2"),
-        (fork, "anchor is not forced-zero after peeling"),
+        (make_double_star(1, 3), "second path vertex degree is not 2"),
+        (fork, "second path vertex degree is not 2"),
+        # covering the block 5-4-0 strands the leaves 1, 2 and 3
+        (make_spider([1, 1, 1, 2]), "a vertex is left with no block"),
     ]
     for t, reason in table:
         assert tuple(recognize(t)) == (False, None, reason)
@@ -309,8 +311,8 @@ def test_pendant_p3_invariance_on_random_trees(t):
 
 def _recognize_per_peel(t):
     """The diameter peel, with a fresh forced-zero pass on every peeled tree
-    and the isomorphism rebuilt from each relabelled snapshot: the oracle for
-    the greedy peel's decisions and for the carried set."""
+    and the isomorphism rebuilt from each relabelled snapshot: the reference
+    that the block partition's decisions are checked against."""
     if t.n % 3 != 0:
         return (False, None, "order not a multiple of 3")
     peels = []
@@ -347,22 +349,15 @@ def _recognize_per_peel(t):
 REASONS = {
     "order not a multiple of 3",
     "second path vertex degree is not 2",
-    "third path vertex degree is not 2",
-    "anchor is not forced-zero after peeling",
+    "a vertex is left with no block",
 }
 
 
 def test_rejection_reasons_are_named_once():
-    named = {
-        family.ORDER_NOT_MULTIPLE_OF_3,
-        family.SECOND_NOT_DEGREE_2,
-        family.THIRD_NOT_DEGREE_2,
-        family.ANCHOR_NOT_FORCED_ZERO,
-    }
+    named = {family.ORDER_NOT_MULTIPLE_OF_3, family.SECOND_NOT_DEGREE_2, family.LEFT_WITHOUT_BLOCK}
     assert named == REASONS
     given = {recognize(t).reason for n in range(1, 13) for t in enumerate_free_trees(n)}
-    assert given - {None} <= named
-    assert sweeps._DEGREE_REASONS == (family.SECOND_NOT_DEGREE_2, family.THIRD_NOT_DEGREE_2)
+    assert given == named | {None}
 
 
 def test_stable_trees_are_enumerated_once_per_order(monkeypatch):
@@ -392,8 +387,8 @@ def test_stable_trees_are_the_free_trees_the_report_calls_stable():
 
 
 def _check_against_the_oracle(t):
-    """The greedy peel decides as the diameter peel does; it gives a reason
-    exactly on rejection, and its certificate rebuilds the input."""
+    """The block partition decides as the diameter peel does; it gives a
+    reason exactly on rejection, and its certificate rebuilds the input."""
     result = recognize(t)
     assert result.accepted == _recognize_per_peel(t)[0]
     if result.accepted:
@@ -429,6 +424,55 @@ def test_recognize_matches_the_oracle_on_shuffled_members(t):
 @pytest.mark.parametrize(("steps", "seed"), [(100, 0), (200, 1)])
 def test_recognize_matches_the_oracle_on_long_shuffled_members(steps, seed):
     assert _check_against_the_oracle(shuffled_member(steps, random.Random(seed))).accepted
+
+
+def _block_ends(t):
+    middle = family._block_middles(t)
+    return None if isinstance(middle, str) else {v for v in range(t.n) if middle[v] != v}
+
+
+def test_block_ends_are_the_forced_zero_set_of_every_member():
+    # the block claim in the family docstring: a member's block ends are
+    # exactly the vertices every optimum labels 0
+    for n in range(3, 16, 3):
+        members = 0
+        for t in enumerate_free_trees(n):
+            ends = _block_ends(t)
+            if ends is not None:
+                members += 1
+                assert ends == forced_zero_set(t)
+        assert members == len(enumerate_family(n))
+    for steps in (0, 1, 10, 100, 1000, 3332):
+        t = shuffled_member(steps, random.Random(steps))
+        assert _block_ends(t) == forced_zero_set(t)
+
+
+@st.composite
+def regrafted_members(draw, max_steps=30):
+    """A member cut at the edge above a vertex other than 0, the cut side
+    regrafted at a random vertex of the rest, labels shuffled: stable or
+    not."""
+    cert = random_certificate(
+        draw(st.integers(1, max_steps)), random.Random(draw(st.integers(0, 2**32)))
+    )
+    parent = [-1, 0, 1]
+    for n, u in zip(range(3, 3 + 3 * len(cert), 3), cert):
+        parent += (u, n, n + 1)
+    n = len(parent)
+    cut = draw(st.integers(1, n - 1))
+    below = {cut}
+    for v in range(cut + 1, n):  # every parent's label is below its child's
+        if parent[v] in below:
+            below.add(v)
+    parent[cut] = draw(st.sampled_from([v for v in range(n) if v not in below]))
+    perm = draw(st.permutations(range(n)))
+    return Tree(Graph(n, [(perm[parent[v]], perm[v]) for v in range(1, n)]))
+
+
+@given(regrafted_members())
+@settings(max_examples=200, deadline=None)
+def test_recognize_matches_deletion_stability_on_regrafted_members(t):
+    assert _check_against_the_oracle(t).accepted == solver._deletion_stable(t.walk[1])
 
 
 def test_recognize_peels_the_input_in_place(monkeypatch):
@@ -519,36 +563,28 @@ def forced_zero_calls(monkeypatch):
     return calls
 
 
-def test_one_forced_zero_pass_per_recognize(forced_zero_calls):
-    for steps, seed in ((1, 0), (5, 1), (30, 2)):
-        t = replay_certificate(random_certificate(steps, random.Random(seed)))
-        forced_zero_calls.clear()
-        assert recognize(t).accepted
-        assert forced_zero_calls == [t.n]
-    # the pass runs when a peel first reaches an anchor check, and only then
-    forced_zero_calls.clear()
-    assert recognize(make_spider([3, 2, 2, 1])).reason == family.ANCHOR_NOT_FORCED_ZERO
-    assert forced_zero_calls == [9]
-    forced_zero_calls.clear()
-    assert not recognize(make_double_star(4, 3)).accepted  # n = 9
-    assert forced_zero_calls == []
-
-
-def test_recognize_runs_no_rerooting_pass_before_an_anchor_check(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("recognize ran a rerooting pass")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "prdom":
-            for helper in ("_all_roots", "_reroot", "forced_zero_set"):
-                if hasattr(module, helper):
-                    monkeypatch.setattr(module, helper, forbidden)
+def test_recognize_runs_no_dp(monkeypatch):
+    # no table, no rerooting pass, no forced-zero set and no number, on
+    # members and on a tree for each rejection reason
+    members = [replay_certificate(random_certificate(steps, random.Random(steps))) for steps in (0, 1, 5, 30)]
+    members.append(shuffled_member(1000, random.Random(3)))
     rejected = {
         make_path(4): family.ORDER_NOT_MULTIPLE_OF_3,
         make_star(5): family.SECOND_NOT_DEGREE_2,
         make_double_star(4, 3): family.SECOND_NOT_DEGREE_2,
-        make_spider([2, 2, 2, 2, 2, 1]): family.THIRD_NOT_DEGREE_2,
+        make_spider([1, 1, 1, 2]): family.LEFT_WITHOUT_BLOCK,
     }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recognize ran the DP")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prdom":
+            for helper in ("_tables", "_reroot", "_all_roots", "forced_zero_set", "prd_number"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+    for t in members:
+        assert recognize(t).accepted
     for t, reason in rejected.items():
         assert recognize(t).reason == reason
 

@@ -42,6 +42,28 @@ def test_report_digests_do_not_depend_on_the_input_directory(bench, tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_the_sides_alternate_which_runs_first(bench, monkeypatch, tmp_path):
+    sides = {}
+    for label in ("parent", "change"):
+        src = tmp_path / label
+        (src / "prdom").mkdir(parents=True)
+        (src / "prdom" / "cli.py").touch()
+        sides[src.resolve()] = label
+    runs = []
+
+    def stub(src, argv, cwd):
+        runs.append(sides[src])
+        return 0.1, 1.0, "digest"
+
+    monkeypatch.setattr(bench, "run_child", stub)
+    out = tmp_path / "out.json"
+    assert bench.main(["verify", "--side", f"parent={tmp_path / 'parent'}",
+                       "--side", f"change={tmp_path / 'change'}", "--out", str(out)]) == 0
+    rounds = len(bench.verify_inputs(None, None)) * bench.RECORDS["verify"].repeat
+    assert runs == ["parent", "change", "change", "parent"] * (rounds // 2) + ["parent", "change"] * (rounds % 2)
+    assert set(json.loads(out.read_text())["results"]) == {"parent", "change"}
+
+
 @pytest.mark.parametrize("text", ["", "[]", '"results"', "{}"])
 def test_an_out_file_that_is_no_record_is_refused(bench, tmp_path, capsys, text):
     out = tmp_path / "BENCH_verify.json"
