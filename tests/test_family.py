@@ -563,17 +563,33 @@ def forced_zero_calls(monkeypatch):
     return calls
 
 
-def test_recognize_runs_no_dp(monkeypatch):
-    # no table, no rerooting pass, no forced-zero set and no number, on
-    # members and on a tree for each rejection reason
+def _members_and_rejections():
     members = [replay_certificate(random_certificate(steps, random.Random(steps))) for steps in (0, 1, 5, 30)]
     members.append(shuffled_member(1000, random.Random(3)))
     rejected = {
         make_path(4): family.ORDER_NOT_MULTIPLE_OF_3,
         make_star(5): family.SECOND_NOT_DEGREE_2,
         make_double_star(4, 3): family.SECOND_NOT_DEGREE_2,
+        make_spider([3, 2, 2, 1]): family.SECOND_NOT_DEGREE_2,
         make_spider([1, 1, 1, 2]): family.LEFT_WITHOUT_BLOCK,
     }
+    return members, rejected
+
+
+def test_one_forced_zero_pass_per_recognize(forced_zero_calls):
+    # at most one pass: recognize reads the block partition, so it runs none
+    members, rejected = _members_and_rejections()
+    for t in members:
+        assert recognize(t).accepted
+    for t, reason in rejected.items():
+        assert recognize(t).reason == reason
+    assert forced_zero_calls == []
+
+
+def test_recognize_runs_no_rerooting_pass_before_an_anchor_check(monkeypatch):
+    # no table, no rerooting pass, no forced-zero set and no number, on
+    # members and on a tree for each rejection reason
+    members, rejected = _members_and_rejections()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("recognize ran the DP")
