@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import string
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, _forms
@@ -135,11 +136,12 @@ def serialize_certificate(c: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    """Inverse of serialize_certificate. Labels are ASCII decimal numbers,
-    and step i must create exactly n, n + 1 and n + 2, n = 3 + 3i; that is
-    checked once every line has been read. SizeLimitError above
-    CERTIFICATE_MAX_STEPS step lines."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    """Inverse of serialize_certificate. Lines end at "\n" alone, as edge
+    lists and graph6 do, and lose ASCII whitespace (so "\r\n" ends one too).
+    Labels are ASCII decimal numbers, and step i must create exactly n,
+    n + 1 and n + 2, n = 3 + 3i; that is checked once every line has been
+    read. SizeLimitError above CERTIFICATE_MAX_STEPS step lines."""
+    lines = [line for line in (raw.strip(string.whitespace) for raw in text.split("\n")) if line]
     if not lines or lines[0] != "P3":
         raise InvalidStepError('certificate must start with the base line "P3"')
     if len(lines) - 1 > CERTIFICATE_MAX_STEPS:

@@ -21,30 +21,36 @@ Admissible child states given the vertex state:
   B: no D-child, all children from {A, C}
   C: children from {A, C, D}
 
-State costs are 0, 0, 1, 2 plus the children minima; state A is the usual
-"sum of min(A, C) plus the cheapest swap of one child to D". At a root only
-A, C, D are valid. One table covers a whole forest and is filled bottom-up
-along a walk (``graphs.rooted_order``): by default the forest's own
-``walk``, which roots every component at its smallest vertex and which
-the ``Forest`` constructor already made while validating (a ``Forest`` is
-a ``Graph`` that carries its walk, and a ``Tree`` is a one-component
-``Forest``), so the solvers do not walk the graph again. The walk is kept
-in BFS positions, each parent before its children, so the table is indexed
-by position and every pass runs over ``range(n)``, reading its lists in
-order; results go back to labels once, through the walk's ``order``. The
-number is the sum, over the component roots, of the best root state. A
-witness is read back top-down along the same walk: each vertex's state
-follows from its parent's state and its own four costs.
+State costs are 0, 0, 1, 2 plus the children's minima, but every decision
+reads only the differences alpha = A - C, beta = B - C and delta = D - C,
+so C is never stored. With a(x) = min(x, 0), m = min(alpha, 0, delta) and
+sums over the children i:
+
+  beta  = -1 + sum(a(alpha_i) - m_i)
+  delta =  1 + sum(min(beta_i, 0, delta_i) - m_i)
+  alpha = beta + min(delta_i - a(alpha_i))   (the cheapest swap to D)
+
+A root's C is its subtree's size plus its other vertices' m, so the
+number, over the root states A, C and D, is n plus every vertex's m. One
+table covers a whole forest and is filled bottom-up along a walk
+(``graphs.rooted_order``): by default the forest's own ``walk``, which
+the ``Forest`` constructor made while validating, rooting every component
+at its smallest vertex. The walk is kept in BFS positions, each parent
+before its children, so the table is indexed by position and every pass
+runs over ``range(n)``; results go back to labels once, through the
+walk's ``order``. A witness is read back top-down along the same walk:
+each vertex's state follows from its parent's state and the signs of its
+own differences.
 
 State A's D-child is always picked by one rule: the first child in walk
-order whose swap to D, D - min(A, C), equals the parent's A - B, the
-cheapest swap. The walk is a BFS over sorted adjacency, so siblings sit in
-consecutive positions in ascending label order and ties go to the lower
-child label. The exponential route, ``brute_force``, is a Gray-code scan
-over all 2^n placements of the 2s with the forced minimal completion, and
-a literal scan of all 3^n labelings (``_brute_ternary``) stays as its
-reference; both are independent ground truth for small graphs and plain
-Python, so the package has no runtime dependency.
+order whose swap to D, delta - a(alpha), equals the parent's
+alpha - beta, the cheapest swap. The walk is a BFS over sorted adjacency,
+so siblings sit in consecutive positions in ascending label order and ties
+go to the lower child label. The exponential route, ``brute_force``, is a
+Gray-code scan over all 2^n placements of the 2s with the forced minimal
+completion, and a literal scan of all 3^n labelings (``_brute_ternary``)
+stays as its reference; both are independent ground truth for small
+graphs and plain Python, so the package has no runtime dependency.
 
 The set returned by ``forced_zero_set`` contains the vertices labeled 0 by
 every minimum-weight PRDF; "any" in the usual phrasing of that set is read
@@ -82,18 +88,17 @@ def is_valid_prdf(g: Graph, values: Sequence[int]) -> bool:
 
 
 class StateTable(NamedTuple):
-    """Per-position costs of the four root-directed states, over a forest,
-    rooted as the walk ``_tables`` was given, or, once ``_reroot`` has
-    rewritten it, with each vertex as the root of its own component.
-    Entry i belongs to the vertex at walk position i. Costs at or above
-    INFEASIBLE mean the state cannot be completed (a leaf cannot be
-    satisfied from below, so its A entry is always INFEASIBLE).
-    """
+    """A forest's ``number`` and, by walk position, its states' A - C,
+    B - C and D - C, rooted as the walk ``_tables`` was given, or, once
+    ``_reroot`` has rewritten the lists, at each vertex. alpha, beta >= -1
+    and delta >= 1 - (the number of children), so all three stay small. A
+    leaf has no child to swap to D: its alpha is INFEASIBLE - 1, so that
+    its cheapest swap, alpha - beta, is INFEASIBLE."""
 
-    a: list[int]
-    b: list[int]
-    c: list[int]
-    d: list[int]
+    alpha: list[int]
+    beta: list[int]
+    delta: list[int]
+    number: int
 
 
 def _tables(parent: Sequence[int]) -> StateTable:
@@ -105,86 +110,90 @@ def _tables(parent: Sequence[int]) -> StateTable:
     since the parent array names every edge. See StateTable.
     """
     n = len(parent)
-    # Until the pass reaches v, b[v] sums min(A, C) over v's finished
-    # children, a[v] holds their cheapest swap to D, c[v] sums min(A, C, D)
-    # and d[v] sums min(B, C, D); reaching v turns them into v's own costs.
-    # Reusing the four lists keeps one live int per state, not two.
-    a = [INFEASIBLE] * n
-    b = [0] * n
-    c = [0] * n
-    d = [0] * n
+    # Until the pass reaches v, alpha[v] holds its finished children's
+    # cheapest swap to D; reaching v adds beta[v], the sum so far.
+    alpha = [INFEASIBLE] * n
+    beta = [-1] * n
+    delta = [1] * n
+    number = n
     for v in range(n - 1, -1, -1):
-        bv = b[v]
-        av = a[v] = bv + a[v]
-        cv = c[v] = 1 + c[v]
-        dv = d[v] = 2 + d[v]
+        bv = beta[v]
+        av = alpha[v] = bv + alpha[v]
+        dv = delta[v]
+        m = av if av < dv else dv
+        if m > 0:
+            m = 0
+        number += m
         p = parent[v]
         if p >= 0:
-            mac = av if av < cv else cv
-            b[p] += mac
-            delta = dv - mac
-            if delta < a[p]:
-                a[p] = delta
-            mbcd = bv if bv < cv else cv
-            if dv < mbcd:
-                mbcd = dv
-            d[p] += mbcd
-            c[p] += mac if mac < dv else dv
-    return StateTable(a, b, c, d)
+            ac = av if av < 0 else 0
+            beta[p] += ac - m
+            swap = dv - ac
+            if swap < alpha[p]:
+                alpha[p] = swap
+            mb = bv if bv < dv else dv
+            delta[p] += (mb if mb < 0 else 0) - m
+    return StateTable(alpha, beta, delta, number)
 
 
 def _reroot(parent: Sequence[int], table: StateTable) -> Iterator[int]:
     """Turn a walk's down table into the table rooted at every vertex. O(n).
 
-    ``table`` is ``_tables``' result on the same walk, rewritten in place
-    top-down, one position after another: when the pass yields a position
-    v, v's four entries are the costs of v's whole component rooted at v,
-    so C(v) - 1 is the number of T - v, whose components are exactly v's
-    neighbour sides. Entries of positions not yet yielded still cover only
-    their subtrees. A vertex v with parent p takes p's side away from v
-    from p's finished entries: B, C and D sum over p's sides, so v's part
-    is subtracted; A adds the cheapest swap to D, so each vertex also
-    keeps its second-cheapest swap and which side holds the cheapest. A
-    caller may stop the pass at the first vertex it has seen enough of;
-    ``_all_roots`` drains it.
+    ``table`` is ``_tables``' result on the same walk, its lists rewritten
+    in place top-down, one position after another: when the pass yields a
+    position v, v's entries are the differences of v's whole component
+    rooted at v, whose deletion leaves v's neighbour sides, so
+    number(T - v) = C(v) - 1 = number(T) - 1 - min(alpha, 0, delta).
+    Entries of positions not yet yielded still cover only their subtrees.
+    A vertex v with parent p takes p's side away from v from p's finished
+    entries: beta and delta sum over p's sides, so v's two contributions,
+    a(alpha) - m and min(beta, 0, delta) - m, are subtracted; alpha adds
+    the cheapest swap to D, so each vertex also keeps its second-cheapest
+    swap and which side holds the cheapest. A caller may stop the pass at
+    the first vertex it has seen enough of; ``_all_roots`` drains it.
     """
-    a, b, c, d = table
+    alpha, beta, delta, _ = table
     n = len(parent)
     # per vertex: the second-cheapest swap over its children, and the child
     # with the cheapest, picked by the module docstring's D-child rule; the
-    # cheapest itself is A - B
+    # cheapest itself is alpha - beta
     second = [INFEASIBLE] * n
     holder = [-1] * n
     for u, p in enumerate(parent):
         if p >= 0:
-            au, cu = a[u], c[u]
-            swap = d[u] - (au if au < cu else cu)
-            if holder[p] < 0 and swap == a[p] - b[p]:
+            au = alpha[u]
+            swap = delta[u] - (au if au < 0 else 0)
+            if holder[p] < 0 and swap == alpha[p] - beta[p]:
                 holder[p] = u
             elif swap < second[p]:
                 second[p] = swap
     for v, p in enumerate(parent):
         if p >= 0:
-            av, bv, cv, dv = a[v], b[v], c[v], d[v]
-            # p's side away from v: p's costs less what v's subtree added
+            av, bv, dv = alpha[v], beta[v], delta[v]
+            # p's side away from v: p's sums less what v's subtree added
             # to them in _tables
-            vac = av if av < cv else cv
-            pb = b[p] - vac
-            pa = pb + (second[p] if holder[p] == v else a[p] - b[p])
-            pc = c[p] - (vac if vac < dv else dv)
-            pd = d[p] - min(bv, cv, dv)
-            # ... which v adds to its own costs as one more child
-            pac = pa if pa < pc else pc
+            m = av if av < dv else dv
+            if m > 0:
+                m = 0
+            mb = bv if bv < dv else dv
+            pb = beta[p] - (av if av < 0 else 0) + m
+            pa = pb + (second[p] if holder[p] == v else alpha[p] - beta[p])
+            pd = delta[p] - (mb if mb < 0 else 0) + m
+            # ... which v adds to its own sums as one more child
+            pm = pa if pa < pd else pd
+            if pm > 0:
+                pm = 0
+            pmb = pb if pb < pd else pd
+            pac = pa if pa < 0 else 0
             swap = pd - pac
             best = av - bv
             if swap < best:
                 second[v], holder[v], best = best, p, swap
             elif swap < second[v]:
                 second[v] = swap
-            b[v] = bv = bv + pac
-            a[v] = bv + best
-            c[v] = cv + (pac if pac < pd else pd)
-            d[v] = dv + min(pb, pc, pd)
+            beta[v] = bv = bv + pac - pm
+            alpha[v] = bv + best
+            delta[v] = dv + (pmb if pmb < 0 else 0) - pm
         yield v
 
 
@@ -192,10 +201,9 @@ def _all_roots(x: Forest) -> StateTable:
     """Root the DP at every vertex of a forest at once (rerooting). O(n).
 
     The down table along the forest's walk, rewritten in place by one
-    drained ``_reroot`` pass: each position's A, C and D are then the costs
-    of its vertex's own component rooted there, so the component's number
-    is their minimum and C - 1 is the number of that component less the
-    vertex. Entries are by walk position; ``x.walk[0]`` names the vertices.
+    drained ``_reroot`` pass: each position's entries are then the
+    differences of its vertex's own component rooted there. Entries are by
+    walk position; ``x.walk[0]`` names the vertices.
     """
     parent = x.walk[1]
     table = _tables(parent)
@@ -207,24 +215,17 @@ def _all_roots(x: Forest) -> StateTable:
 def _deletion_stable(parent: Sequence[int]) -> bool:
     """Whether deleting any one vertex of a tree leaves its number unchanged,
     from a walk's parent array alone, in any positions that put each parent
-    before its children.
-
-    The down table already holds the root's whole-tree costs, so the root's
-    own deletion, whose number is C(root) - 1, is checked before the
-    rerooting pass starts; the pass then stops at the first vertex whose
-    deletion changes the number.
-    """
+    before its children: whether min(alpha, 0, delta), or min(alpha, delta),
+    is -1 at every vertex as the root. The rerooting pass yields every
+    vertex, the root first, and stops at the first one that fails."""
     table = _tables(parent)
-    a, _, c, d = table
-    number = min(a[0], c[0], d[0])
-    return c[0] - 1 == number and all(c[v] - 1 == number for v in _reroot(parent, table))
+    alpha, _, delta, _ = table
+    return all((alpha[v] if alpha[v] < delta[v] else delta[v]) == -1 for v in _reroot(parent, table))
 
 
 def prd_number(x: Forest) -> int:
     """Perfect Roman domination number of a tree or forest (0 when empty)."""
-    parent = x.walk[1]
-    a, _, c, d = _tables(parent)
-    return sum(min(a[v], c[v], d[v]) for v, p in enumerate(parent) if p < 0)
+    return _tables(x.walk[1]).number
 
 
 # the label each state gives its vertex: A and B 0, C 1, D 2
@@ -245,24 +246,24 @@ def optimal_assignment(x: Forest) -> tuple[int, ...]:
     letter, then the lower child label.
     """
     order, parent = x.walk
-    a, b, c, d = _tables(parent)
+    alpha, beta, delta, _ = _tables(parent)
     n = len(parent)
     state = bytearray(n)  # 0 A, 1 B, 2 C, 3 D, by position
     placed = bytearray(n)  # 1 once a vertex in state A has its D-child
     for v, p in enumerate(parent):
         above = state[p] if p >= 0 else 2
-        av, cv = a[v], c[v]
-        if above == 0 and not placed[p] and d[v] - (av if av < cv else cv) == a[p] - b[p]:
+        av = alpha[v]
+        if above == 0 and not placed[p] and delta[v] - (av if av < 0 else 0) == alpha[p] - beta[p]:
             placed[p] = 1
             state[v] = 3
         elif above <= 1:
-            state[v] = 0 if av <= cv else 2
+            state[v] = 0 if av <= 0 else 2
         else:
-            dv = d[v]
-            low = b[v] if above == 3 else av
-            if low <= cv and low <= dv:
+            dv = delta[v]
+            low = beta[v] if above == 3 else av
+            if low <= 0 and low <= dv:
                 state[v] = above - 2  # B under D, A under C
-            elif cv <= dv:
+            elif dv >= 0:
                 state[v] = 2
             else:
                 state[v] = 3
@@ -276,16 +277,12 @@ def forced_zero_set(x: Forest) -> frozenset[int]:
     """Vertices labeled 0 by every minimum-weight PRDF of a tree or forest.
 
     A vertex qualifies exactly when forcing any positive label on it costs
-    strictly more than the optimum of its own component: A < min(C, D) with
-    that component rooted at the vertex (on a tree, min(C, D) > gamma). One
-    rerooting pass gives every root, O(n) total.
+    strictly more than the optimum of its own component: A < min(C, D),
+    that is alpha < 0 and alpha < delta, with that component rooted at the
+    vertex. One rerooting pass gives every root, O(n) total.
     """
-    costs = _all_roots(x)
-    return frozenset(
-        v
-        for v, av, cv, dv in zip(x.walk[0], costs.a, costs.c, costs.d)
-        if av < cv and av < dv
-    )
+    alpha, _, delta, _ = _all_roots(x)
+    return frozenset(v for v, av, dv in zip(x.walk[0], alpha, delta) if av < 0 and av < dv)
 
 
 # ---------------------------------------------------------------------------

@@ -31,19 +31,19 @@ class StabilityReport(NamedTuple):
 def stability_report(t: Tree) -> StabilityReport:
     """Numbers of T and of every T - v, from one rerooting pass. O(n).
 
-    With v as the root, number(T) = min(A, C, D) and number(T - v) =
-    C(v) - 1 (see ``solver._reroot``); the pass's entries are by walk
-    position, with the root at position 0, and one scatter through the
+    The table carries number(T), and with v as the root, number(T - v) -
+    number(T) = -1 - min(alpha, 0, delta) (see ``solver._reroot``); the
+    pass's entries are by walk position, and one scatter through the
     walk's order puts the deltas in vertex order. Every delta is reported,
     for ``prdom stable`` and any caller that wants them; a yes-or-no
     answer is cheaper from ``solver._deletion_stable``, which stops at the
     first deletion that changes the number.
     """
-    a, _, c, d = _all_roots(t)
-    base = min(a[0], c[0], d[0])
+    alpha, _, delta, base = _all_roots(t)
     deltas = [0] * t.n
-    for v, cv in zip(t.walk[0], c):
-        deltas[v] = cv - 1 - base
+    for v, av, dv in zip(t.walk[0], alpha, delta):
+        m = av if av < dv else dv
+        deltas[v] = -1 - m if m < 0 else -1
     return StabilityReport(base=base, deltas=tuple(deltas))
 
 

@@ -10,9 +10,8 @@ pendant attachment, and the optima sweep inspects the structure of all
 minimum-weight labelings of every stable tree.
 
 Stability is decided on the free-tree generator's parent arrays, which are
-walks, by ``solver._deletion_stable``: one bottom-up table, the root's
-deletion read from it, then a rerooting pass that stops at the first
-deletion that changes the number. Most trees fail early, and only a few
+walks, by ``solver._deletion_stable``: one bottom-up table, then a
+rerooting pass that stops at the first deletion that changes the number. Most trees fail early, and only a few
 are stable. A ``Tree`` is built only for a tree that is stable or whose
 order is divisible by 3, the trees that the recognizer, the closure or a
 later suite must see.

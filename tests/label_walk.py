@@ -5,8 +5,11 @@ Before ``rooted_order`` returned positions, a walk was (order, parent) with
 witness pass, the rerooting pass and the centroid search indexed their
 lists by label while they followed ``order``. Those routes are kept here,
 as they were, so that each position route can be compared with the one it
-replaced, byte for byte. ``forms_by_second_walk`` is the canonical encoder
-from before the digest re-rooted the forest's own walk, on the label walk.
+replaced, byte for byte. The tables here keep the four absolute costs A,
+B, C and D, as the DP did before it stored only the differences from C,
+so they are also the reference for the difference table.
+``forms_by_second_walk`` is the canonical encoder from before the digest
+re-rooted the forest's own walk, on the label walk.
 """
 
 from __future__ import annotations
@@ -14,8 +17,18 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
-from prdom.solver import _STATE_LABEL, INFEASIBLE, StateTable
+from prdom.solver import _STATE_LABEL, INFEASIBLE
+
+
+class Costs(NamedTuple):
+    """The absolute costs of the four root-directed states, by label."""
+
+    a: list[int]
+    b: list[int]
+    c: list[int]
+    d: list[int]
 
 
 def rooted_order(adj: Sequence[Sequence[int]], roots: Iterable[int] = ()) -> tuple[list[int], list[int]]:
@@ -44,7 +57,7 @@ def walk(x) -> tuple[list[int], list[int]]:
     return rooted_order(x.adjacency)
 
 
-def tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
+def tables(order: Sequence[int], parent: Sequence[int]) -> Costs:
     """The DP bottom-up along a label walk; entries by label."""
     n = len(order)
     a = [INFEASIBLE] * n
@@ -68,10 +81,10 @@ def tables(order: Sequence[int], parent: Sequence[int]) -> StateTable:
                 mbcd = dv
             d[p] += mbcd
             c[p] += mac if mac < dv else dv
-    return StateTable(a, b, c, d)
+    return Costs(a, b, c, d)
 
 
-def reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> Iterator[int]:
+def reroot(order: Sequence[int], parent: Sequence[int], table: Costs) -> Iterator[int]:
     """The rerooting pass along a label walk, rewriting ``table`` in place."""
     a, b, c, d = table
     n = len(order)
@@ -109,7 +122,7 @@ def reroot(order: Sequence[int], parent: Sequence[int], table: StateTable) -> It
         yield v
 
 
-def all_roots(x) -> StateTable:
+def all_roots(x) -> Costs:
     order, parent = walk(x)
     table = tables(order, parent)
     for _ in reroot(order, parent, table):

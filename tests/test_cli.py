@@ -743,6 +743,23 @@ def test_certificates_take_ascii_decimal_numbers_only(text, line, tmp_path, monk
     }
 
 
+@pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
+def test_certificate_lines_end_at_newline_alone(separator, tmp_path, monkeypatch, capsys):
+    # str.splitlines would end a line here too and read one valid step
+    path = tmp_path / "cert.txt"
+    path.write_text(f"P3{separator}0: 3 4 5\n", encoding="utf-8")
+    code, out, _ = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "certificate_path": str(path),
+        "valid": False,
+        "error": 'certificate must start with the base line "P3"',
+    }
+    path.write_bytes(b"P3\r\n0: 3 4 5\r\n")
+    code, out, _ = run_cli(["verify", "--certificate", str(path)], "", monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["result"]["valid"]
+
+
 def test_recognized_certificates_replay_past_a_thousand_steps(tmp_path, monkeypatch, capsys):
     member = shuffled_member(1001, random.Random(2))
     tree_path, cert_path = tmp_path / "tree.txt", tmp_path / "cert.txt"

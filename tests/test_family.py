@@ -431,20 +431,40 @@ def _block_ends(t):
     return None if isinstance(middle, str) else {v for v in range(t.n) if middle[v] != v}
 
 
-def test_block_ends_are_the_forced_zero_set_of_every_member():
+def _block_ends_are_the_forced_zero_set_at(n):
     # the block claim in the family docstring: a member's block ends are
     # exactly the vertices every optimum labels 0
+    members = 0
+    for t in enumerate_free_trees(n):
+        ends = _block_ends(t)
+        if ends is not None:
+            members += 1
+            assert ends == forced_zero_set(t)
+    assert members == len(enumerate_family(n))
+
+
+def test_block_ends_are_the_forced_zero_set_of_every_member():
     for n in range(3, 16, 3):
-        members = 0
-        for t in enumerate_free_trees(n):
-            ends = _block_ends(t)
-            if ends is not None:
-                members += 1
-                assert ends == forced_zero_set(t)
-        assert members == len(enumerate_family(n))
+        _block_ends_are_the_forced_zero_set_at(n)
     for steps in (0, 1, 10, 100, 1000, 3332):
         t = shuffled_member(steps, random.Random(steps))
         assert _block_ends(t) == forced_zero_set(t)
+
+
+@pytest.mark.slow
+def test_block_ends_are_the_forced_zero_set_of_every_member_of_order_18():
+    _block_ends_are_the_forced_zero_set_at(18)
+
+
+@pytest.mark.slow
+def test_recognize_matches_deletion_stability_on_every_tree_of_order_18():
+    trees = stable = 0
+    for t in enumerate_free_trees(18):
+        accepted = recognize(t).accepted
+        assert accepted == solver._deletion_stable(t.walk[1])
+        trees += 1
+        stable += accepted
+    assert (trees, stable) == (123867, 49)
 
 
 @st.composite

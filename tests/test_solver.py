@@ -30,7 +30,7 @@ from prdom import (
     tree_from_prufer,
 )
 from prdom.graphs import rooted_order
-from prdom.solver import _all_roots, _brute_ternary, _brute_two_sets, _tables
+from prdom.solver import _all_roots, _brute_ternary, _brute_two_sets, _reroot, _tables
 
 
 def test_known_numbers():
@@ -155,12 +155,23 @@ def test_path_formula_regression_medium():
         assert prd_number(make_path(n)) == math.ceil(2 * n / 3)
 
 
+def _reference_at(t, v):
+    """A - C, B - C, D - C and C at ``v``, from the absolute reference
+    table of ``t`` rooted at ``v`` (``label_walk``)."""
+    order, parent = label_walk.rooted_order(t.adjacency, (v,))
+    a, b, c, d = label_walk.tables(order, parent)
+    return a[v] - c[v], b[v] - c[v], d[v] - c[v], c[v]
+
+
 def _root_costs(t, v):
     """The A, C and D costs of ``t`` rooted at ``v``: the least weight with
-    ``v`` labeled 0, 1 and 2."""
-    costs = _all_roots(t)
+    ``v`` labeled 0, 1 and 2, rebuilt from the rerooted differences and the
+    number, which must match the reference's."""
+    alpha, beta, delta, number = _all_roots(t)
     i = t.walk[0].index(v)
-    return costs.a[i], costs.c[i], costs.d[i]
+    c = number - min(alpha[i], 0, delta[i])
+    assert (alpha[i], beta[i], delta[i], c) == _reference_at(t, v)
+    return c + alpha[i], c, c + delta[i]
 
 
 def test_forced_values_on_p3():
@@ -198,23 +209,20 @@ def test_forced_zero_set_matches_full_enumeration():
 def _forced_by_a_table_rooted_at(t, v, allowed):
     """The least weight with ``v``'s label in ``allowed``, the route before
     the rerooting pass: one DP table rooted at ``v``, then the allowed root
-    states of ``v``."""
-    table = _tables(rooted_order(t.adjacency, (v,))[1])  # v at position 0
-    best = INFEASIBLE
-    if 0 in allowed and table.a[0] < best:
-        best = table.a[0]
-    if 1 in allowed and table.c[0] < best:
-        best = table.c[0]
-    if 2 in allowed and table.d[0] < best:
-        best = table.d[0]
+    states of ``v``, whose differences must match the reference's."""
+    alpha, beta, delta, number = _tables(rooted_order(t.adjacency, (v,))[1])  # v at position 0
+    c = number - min(alpha[0], 0, delta[0])
+    assert (alpha[0], beta[0], delta[0], c) == _reference_at(t, v)
+    best = min((c + alpha[0], c, c + delta[0])[label] for label in allowed)
     return best if best < INFEASIBLE else math.inf
 
 
 def _all_roots_match_a_table_per_root(t):
-    costs = _all_roots(t)
+    alpha, beta, delta, number = _all_roots(t)
     for i, v in enumerate(t.walk[0]):
-        table = _tables(rooted_order(t.adjacency, (v,))[1])  # v at position 0
-        assert (costs.a[i], costs.c[i], costs.d[i]) == (table.a[0], table.c[0], table.d[0])
+        a, b, d, c = _reference_at(t, v)
+        assert (alpha[i], beta[i], delta[i]) == (a, b, d)
+        assert number == c + min(a, 0, d)
 
 
 def test_forced_matches_a_table_per_root_on_all_small_trees():
@@ -256,33 +264,58 @@ def test_all_roots_matches_a_table_per_root(t):
 
 
 def test_state_table_holds_only_costs_and_brute_force_one_route():
-    assert StateTable._fields == ("a", "b", "c", "d")
+    assert StateTable._fields == ("alpha", "beta", "delta", "number")
     assert list(inspect.signature(brute_force).parameters) == ["g"]
 
 
 def test_state_table_leaf_base_case():
+    # a leaf has no child to swap to D: as costs A = INFEASIBLE, B = 0,
+    # C = 1 and D = 2, so its cheapest swap alpha - beta is INFEASIBLE
     table = _tables(make_path(4).walk[1])
     leaf = 3  # the far end, at the last position, is a leaf of the rooted tree
-    assert table.a[leaf] >= INFEASIBLE
-    assert table.b[leaf] == 0
-    assert table.c[leaf] == 1
-    assert table.d[leaf] == 2
+    assert (table.alpha[leaf], table.beta[leaf], table.delta[leaf]) == (INFEASIBLE - 1, -1, 1)
+    assert table.alpha[leaf] - table.beta[leaf] == INFEASIBLE
+    assert table.number == 3
 
 
-@given(labeled_trees(max_n=20))
-@settings(max_examples=100, deadline=None)
-def test_state_table_bounds(t):
-    parent = t.walk[1]
+def _assert_small(table, children):
+    for alpha, beta, delta, k in zip(table.alpha, table.beta, table.delta, children):
+        assert alpha >= -1 and beta >= -1 and delta >= 1 - k
+
+
+def _check_the_ranges(x):
+    """The down table equals the reference's A - C, B - C and D - C; there
+    and after the rerooting pass alpha, beta >= -1 and delta >= 1 - (the
+    number of children) at every position; the number is the reference's
+    sum of root minima."""
+    order, parent = x.walk
     table = _tables(parent)
-    # subtree sizes from the parent array, by position
-    size = [1] * t.n
-    for v in range(t.n - 1, -1, -1):
-        p = parent[v]
+    ref_order, ref_parent = label_walk.walk(x)
+    a, b, c, d = label_walk.tables(ref_order, ref_parent)
+    number = sum(min(a[v], c[v], d[v]) for v, p in enumerate(ref_parent) if p < 0)
+    assert table.number == number
+    assert list(zip(*table[:3])) == [(a[v] - c[v], b[v] - c[v], d[v] - c[v]) for v in order]
+    children = [0] * x.n
+    for p in parent:
         if p >= 0:
-            size[p] += size[v]
-    for v in range(t.n):
-        best = min(table.a[v], table.b[v], table.c[v], table.d[v])
-        assert 0 <= best <= 2 * size[v]
+            children[p] += 1
+    _assert_small(table, children)
+    for _ in _reroot(parent, table):
+        pass
+    _assert_small(table, [len(x.adjacency[v]) for v in order])
+    assert table.number == number
+
+
+def test_state_table_bounds_on_all_small_trees():
+    for n in range(1, 13):
+        for t in enumerate_free_trees(n):
+            _check_the_ranges(t)
+
+
+@given(labeled_forests())
+@settings(max_examples=100, deadline=None)
+def test_state_table_bounds(f):
+    _check_the_ranges(f)
 
 
 def test_assignment_validity_checks():
