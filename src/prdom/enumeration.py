@@ -19,7 +19,7 @@ import itertools
 import random
 from collections.abc import Iterator, Sequence
 
-from .graphs import Graph, Tree, make_path
+from .graphs import Graph, Tree, _parents_to_tree, make_path
 
 FREE_TREE_MAX_N = 18
 
@@ -59,11 +59,6 @@ def _sequence_parents(seq: Sequence[int]) -> list[int]:
         else:
             last_at_level.append(v)
     return parent
-
-
-def _parents_to_tree(parent: list[int]) -> Tree:
-    n = len(parent)
-    return Tree(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
 
 
 def _split_first_subtree(seq: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -26,7 +26,8 @@ contract the blocks to a tree and take a leaf block B. Middles have no
 neighbors outside their blocks, so B hangs by an end off an end u of the
 rest, which is a member by induction; its walk's blocks are its blocks by
 uniqueness, so u is forced-zero by the closed form and hanging B is a
-legal step. ``recognize`` therefore reads no labeling: it finds the blocks.
+legal step. ``recognize`` therefore reads no labeling: it finds the blocks
+along the tree's walk, and the theorem sweep along the generator's arrays.
 
 Deletion lemma: peeling a pendant 3-path off a stable tree T leaves a stable
 tree T'. The chain adds exactly 2 whatever its anchor, so for v other than
@@ -44,10 +45,11 @@ from __future__ import annotations
 import bisect
 import random
 import string
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, _forms
-from .graphs import EDGE_LIST_MAX_N, Graph, InvalidStepError, Tree, _number_reader
+from .graphs import EDGE_LIST_MAX_N, InvalidStepError, Tree, _number_reader, _parents_to_tree
 from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
 from .stability import attach_pendant_path
 
@@ -94,10 +96,10 @@ def replay_certificate(c: Certificate) -> Tree:
     Each anchor must be a label of the tree so far that every optimum
     forces to 0, which the closed form decides by the label alone. The
     finished tree is then checked to be deletion-stable, once, by
-    ``_deletion_stable`` on its walk: by the deletion lemma every
-    intermediate tree is stable when the last one is, and only when it is
-    not does a bisection over the prefixes of the certificate's parent
-    array, with the same check, find the first failing step.
+    ``_deletion_stable`` on its parent array, a walk: by the deletion
+    lemma every intermediate tree is stable when the last one is, and only
+    when it is not does a bisection over that array's prefixes, with the
+    same check, find the first failing step.
     """
     parent = [-1, 0, 1]
     for i, u in enumerate(c):
@@ -107,9 +109,7 @@ def replay_certificate(c: Certificate) -> Tree:
         if u % 3 == 1:
             raise InvalidStepError(f"step {i}: vertex {u} is not forced to 0 by every optimum")
         parent += (u, n, n + 1)
-    n = len(parent)
-    tree = Tree(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
-    if not _deletion_stable(tree.walk[1]):
+    if not _deletion_stable(parent):
 
         def unstable(i: int) -> bool:
             # the tree after step i: the first 6 + 3i entries
@@ -117,7 +117,7 @@ def replay_certificate(c: Certificate) -> Tree:
 
         first = bisect.bisect_left(range(len(c)), True, key=unstable)
         raise InvalidStepError(f"step {first}: intermediate tree is not stable")
-    return tree
+    return _parents_to_tree(parent)
 
 
 def random_certificate(steps: int, rng: random.Random) -> Certificate:
@@ -170,62 +170,59 @@ def parse_certificate(text: str) -> Certificate:
     return tuple(anchors)
 
 
-def _block_middles(t: Tree) -> list[int] | str:
-    """The middle of each vertex's block (a middle is its own), or why t
-    has none. A leaf x of the part not yet covered can only be an end, so
-    its block is x, its one uncovered neighbor c, of degree 2 in the tree,
-    and c's other neighbor y. Covering them changes only the uncovered
-    degrees of y's other neighbors: at 1 a vertex is a new leaf, at 0 it
-    is left with no block. That degree and an uncovered-neighbor label sum
-    per vertex give c and y in O(1), so this is O(n). The worklist is a
-    stack of the tree's leaves in ascending order, then each new leaf; the
-    first failure met is the reason. Popped last in, first out, it keeps y
-    uncovered: whatever is pushed after a new leaf lies in other parts, so
-    its part is cut no more before its pop. If a cover at y cut a part down
-    to x and c, x was then a leaf of the tree, and c, pushed after it, is
-    popped first and fails the degree test.
+def _block_middles(parent: Sequence[int]) -> list[int] | str:
+    """The middle of each position's block (a middle is its own), or why
+    the tree has none, from a walk's parent array: any array that puts each
+    parent before its children. Covering from the last position to the
+    first, each v's children are covered when v is reached, so an uncovered
+    v is an end: its parent c, uncovered, is the middle, of degree 2 in the
+    tree; the far end, uncovered, is c's parent, or when c is the root 0
+    its other child, 1 (position 1 is a root child in every walk; v is not
+    1 there, and 0 is not left over: the other n - 2 or n - 1 positions
+    would fill whole blocks of 3). Each block is forced by those found
+    before, so the first failed check, in reverse walk order, is the reason.
     """
-    if t.n % 3 != 0:
+    n = len(parent)
+    if n % 3 != 0:
         return ORDER_NOT_MULTIPLE_OF_3
-    adj = t.adjacency
-    free = list(map(len, adj))  # uncovered neighbors per vertex
-    label_sum = list(map(sum, adj))  # and the sum of their labels
-    middle = [-1] * t.n
-    work = [v for v in range(t.n) if free[v] == 1]
-    while work:
-        x = work.pop()
-        if middle[x] >= 0:
+    degree = [0] + [1] * (n - 1)  # the edge to the parent, then the children
+    for p in parent[1:]:
+        degree[p] += 1
+    middle = [-1] * n
+    for v in range(n - 1, 0, -1):
+        if middle[v] >= 0:
             continue
-        c = label_sum[x]
-        if len(adj[c]) != 2:
+        c = parent[v]
+        if middle[c] >= 0:
+            return LEFT_WITHOUT_BLOCK
+        if degree[c] != 2:
             return SECOND_NOT_DEGREE_2
-        y = label_sum[c] - x  # uncovered: see above
-        middle[x] = middle[c] = middle[y] = c
-        for w in adj[y]:
-            if middle[w] < 0:
-                free[w] -= 1
-                label_sum[w] -= y
-                if free[w] == 1:
-                    work.append(w)
-                elif free[w] == 0:
-                    return LEFT_WITHOUT_BLOCK
+        y = parent[c] if c else 1
+        if middle[y] >= 0:
+            return LEFT_WITHOUT_BLOCK
+        middle[v] = middle[c] = middle[y] = c
     return middle
 
 
 def recognize(t: Tree) -> RecognitionResult:
     """Decide family membership, with a build certificate on acceptance.
 
-    A tree is a member exactly when ``_block_middles`` finds its blocks,
-    so recognition is O(n), in place, in input labels, with no labeling
-    DP. On acceptance one breadth-first pass over block ends writes the
-    certificate. Vertex 0's block takes labels 0, 1, 2 (lower end, middle,
-    higher end). Each block first reached from a labelled end u through
-    its end w takes n, n + 1, n + 2 (w, its middle, its other end), and
-    its anchor is u's label: an end, so forced-zero by the closed form.
+    A tree is a member exactly when ``_block_middles`` finds its blocks on
+    the tree's walk, so recognition is O(n), with no labeling DP; the
+    middles go back to input labels once. On acceptance one breadth-first
+    pass over block ends writes the certificate. Vertex 0's block takes
+    labels 0, 1, 2 (lower end, middle, higher end). Each block first
+    reached from a labelled end u through its end w takes n, n + 1, n + 2
+    (w, its middle, its other end), and its anchor is u's label: an end,
+    so forced-zero by the closed form.
     """
-    middle = _block_middles(t)
-    if isinstance(middle, str):
-        return RecognitionResult(False, None, middle)
+    order, parent = t.walk
+    blocks = _block_middles(parent)
+    if isinstance(blocks, str):
+        return RecognitionResult(False, None, blocks)
+    middle = [0] * t.n
+    for v, c in zip(order, blocks):
+        middle[v] = order[c]
     adj = t.adjacency
     label = [-1] * t.n
     a, b = adj[middle[0]]  # in order: adj is sorted

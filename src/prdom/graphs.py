@@ -207,6 +207,12 @@ class Tree(Forest):
             raise ValueError("graph is not connected")
 
 
+def _parents_to_tree(parent: Sequence[int]) -> Tree:
+    """The tree in which each vertex v > 0 hangs off parent[v]."""
+    n = len(parent)
+    return Tree(Graph._from_edges(n, ((parent[v], v) for v in range(1, n))))
+
+
 def rooted_order(
     adj: Sequence[Sequence[int]], roots: Iterable[int] = ()
 ) -> tuple[list[int], list[int]]:

@@ -9,12 +9,15 @@ construction. The attachment sweep measures the weight delta of each
 pendant attachment, and the optima sweep inspects the structure of all
 minimum-weight labelings of every stable tree.
 
-Stability is decided on the free-tree generator's parent arrays, which are
-walks, by ``solver._deletion_stable``: one bottom-up table, then a
-rerooting pass that stops at the first deletion that changes the number. Most trees fail early, and only a few
-are stable. A ``Tree`` is built only for a tree that is stable or whose
-order is divisible by 3, the trees that the recognizer, the closure or a
-later suite must see.
+Every route runs on the free-tree generator's parent arrays, which are
+walks, so no route needs a ``Tree``: stability is
+``solver._deletion_stable``, one bottom-up table, then a rerooting pass
+that stops at the first deletion that changes the number; recognition is
+``family._block_middles``, the recognizer's own pass; membership keys the
+array by ``canonical._forms``, as the closure keys its members. Most trees
+fail early, and only a few are stable. A ``Tree`` is built only for a
+stable tree, which the profile check and the later suites read, or for a
+mismatch, which the payload names by its edges.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import functools
 import random
 
-from .canonical import canonical_form
-from .enumeration import _free_tree_parents, _parents_to_tree, random_labeled_tree
-from .family import SECOND_NOT_DEGREE_2, check_stable_profile, enumerate_family, recognize
-from .graphs import Tree
+from .canonical import _forms
+from .enumeration import _free_tree_parents, random_labeled_tree
+from .family import SECOND_NOT_DEGREE_2, _block_middles, check_stable_profile, enumerate_family
+from .graphs import Tree, _parents_to_tree
 from .solver import SizeLimitError, _deletion_stable, forced_zero_set, prd_number
 from .stability import attach_pendant_path, optima_report
 
@@ -41,13 +44,10 @@ def characterization_sweep(max_n: int) -> dict:
 
     Every free tree with 3 <= n <= max_n is tested; the three answers must
     agree pairwise. Recognized trees must also have order divisible by 3
-    and domination number exactly 2n/3. Stability is decided from the
-    generator's parent array alone. The ``Tree`` that recognition and the
-    canonical form read is built only when the tree is stable or its order
-    is divisible by 3: any other tree is no member, and ``recognize``
-    rejects its order before it looks at the edges, so all three routes
-    say no. Returns the payload ``verify`` reports, with
-    ``stable_per_order`` keyed by the order as a string.
+    and domination number exactly 2n/3. All three answers are read off
+    the generator's parent array, and a canonical form is computed only at
+    orders the closure has members of. Returns the payload ``verify``
+    reports, with ``stable_per_order`` keyed by the order as a string.
     """
     if max_n > CHARACTERIZATION_MAX_N:
         raise SizeLimitError(
@@ -59,33 +59,35 @@ def characterization_sweep(max_n: int) -> dict:
     profile_violations: list[dict] = []
     degree_rejections: list[dict] = []
     for n in range(3, max_n + 1):
-        family_keys = enumerate_family(n).keys() if n % 3 == 0 else None
+        family_keys = enumerate_family(n).keys() if n % 3 == 0 else ()
         stable_count = 0
         for parent in _free_tree_parents(n):
             trees_checked += 1
             stable = _deletion_stable(parent)
-            if not stable and n % 3:
+            middle = _block_middles(parent)
+            recognized = not isinstance(middle, str)
+            member = bool(family_keys) and _forms(parent)[0] in family_keys
+            agree = stable == recognized == member
+            if agree and not stable:
                 continue
             t = _parents_to_tree(parent)
-            rec = recognize(t)
-            member = family_keys is not None and canonical_form(t) in family_keys
-            if not (stable == rec.accepted == member):
+            if not agree:
                 mismatches.append(
                     {
                         "n": n,
                         "edges": t.edges(),
                         "stable": stable,
-                        "recognized": rec.accepted,
+                        "recognized": recognized,
                         "family_member": member,
-                        "reason": rec.reason,
+                        "reason": None if recognized else middle,
                     }
                 )
             if stable:
                 stable_count += 1
                 if not check_stable_profile(t):
                     profile_violations.append({"n": n, "edges": t.edges(), "number": prd_number(t)})
-                if rec.reason == SECOND_NOT_DEGREE_2:
-                    degree_rejections.append({"n": n, "edges": t.edges(), "reason": rec.reason})
+                if middle == SECOND_NOT_DEGREE_2:
+                    degree_rejections.append({"n": n, "edges": t.edges(), "reason": middle})
         stable_per_order[str(n)] = stable_count
     return {
         "max_n": max_n,

@@ -36,7 +36,9 @@ from prdom import (
     serialize_certificate,
     stability_report,
 )
+from prdom.enumeration import _free_tree_parents
 from prdom.family import random_certificate
+from prdom.graphs import _parents_to_tree
 
 
 def test_grow_p3_at_leaf_gives_p6():
@@ -360,6 +362,30 @@ def test_rejection_reasons_are_named_once():
     assert given == named | {None}
 
 
+def test_the_theorem_sweep_builds_a_tree_only_for_a_stable_tree(monkeypatch):
+    # every route reads the generator's parent array; at caps up to 14 the
+    # stable trees are 1, 1, 2 and 5 of orders 3, 6, 9 and 12
+    built = []
+    to_tree = sweeps._parents_to_tree
+
+    def counted(parent):
+        built.append(len(parent))
+        return to_tree(parent)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep recognized a Tree or took its canonical form")
+
+    monkeypatch.setattr(sweeps, "_parents_to_tree", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prdom":
+            for helper in ("recognize", "canonical_form"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+    payload = sweeps.characterization_sweep(14)
+    assert payload["passed"] and payload["trees_checked"] == 5445
+    assert built == [3, 6, 9, 9, 12, 12, 12, 12, 12]
+
+
 def test_stable_trees_are_enumerated_once_per_order(monkeypatch):
     # the attachment and optima suites of verify --suite all share each
     # order's stable trees
@@ -427,8 +453,9 @@ def test_recognize_matches_the_oracle_on_long_shuffled_members(steps, seed):
 
 
 def _block_ends(t):
-    middle = family._block_middles(t)
-    return None if isinstance(middle, str) else {v for v in range(t.n) if middle[v] != v}
+    order, parent = t.walk
+    middle = family._block_middles(parent)
+    return None if isinstance(middle, str) else {order[v] for v in range(t.n) if middle[v] != v}
 
 
 def _block_ends_are_the_forced_zero_set_at(n):
@@ -449,6 +476,25 @@ def test_block_ends_are_the_forced_zero_set_of_every_member():
     for steps in (0, 1, 10, 100, 1000, 3332):
         t = shuffled_member(steps, random.Random(steps))
         assert _block_ends(t) == forced_zero_set(t)
+
+
+def test_block_middles_agree_on_every_walk_of_every_tree():
+    # the generator's preorder array and the tree's BFS walk give the same
+    # partition in labels (the generator's vertex i is at position i), and
+    # both accept exactly the deletion-stable trees
+    for n in range(1, 16):
+        for parent in _free_tree_parents(n):
+            t = _parents_to_tree(parent)
+            order, walk_parent = t.walk
+            by_walk = family._block_middles(walk_parent)
+            by_parent = family._block_middles(parent)
+            stable = solver._deletion_stable(parent)
+            assert isinstance(by_walk, str) == isinstance(by_parent, str) == (not stable)
+            if stable:
+                labels = [0] * n
+                for v, c in zip(order, by_walk):
+                    labels[v] = order[c]
+                assert labels == by_parent
 
 
 @pytest.mark.slow
@@ -496,8 +542,8 @@ def test_recognize_matches_deletion_stability_on_regrafted_members(t):
 
 
 def test_recognize_peels_the_input_in_place(monkeypatch):
-    # a worklist over the input's own labels: no walk, no diameter sweep,
-    # no relabelled copy and no longest-path descent
+    # one pass over the walk the tree was built with: no second walk, no
+    # diameter sweep, no relabelled copy and no longest-path descent
     t = replay_certificate(random_certificate(300, random.Random(4)))
     large = shuffled_member(10_000, random.Random(5))
 
@@ -590,7 +636,7 @@ def _members_and_rejections():
         make_path(4): family.ORDER_NOT_MULTIPLE_OF_3,
         make_star(5): family.SECOND_NOT_DEGREE_2,
         make_double_star(4, 3): family.SECOND_NOT_DEGREE_2,
-        make_spider([3, 2, 2, 1]): family.SECOND_NOT_DEGREE_2,
+        make_spider([3, 2, 2, 1]): family.LEFT_WITHOUT_BLOCK,
         make_spider([1, 1, 1, 2]): family.LEFT_WITHOUT_BLOCK,
     }
     return members, rejected
